@@ -1,15 +1,20 @@
 """Exact multivariate polynomial and rational-function arithmetic over Q.
 
-A polynomial is a mapping from exponent tuples to nonzero Fraction
+A polynomial is a mapping from exponent tuples to nonzero rational
 coefficients, together with an ordered tuple of variable names.  The
 exponent tuple has one entry per variable, so two polynomials can be
 combined only when they carry the same variable tuple (this is the
 "mismatched variable sets" error surface of the contracts below).
 
-  x0^2*x1 + 3/2   ->   Poly(("x0", "x1"), {(2, 1): Fraction(1), (0, 0): Fraction(3, 2)})
+  x0^2*x1 + 3/2   ->   Poly(("x0", "x1"), {(2, 1): 1, (0, 0): Fraction(3, 2)})
 
-The zero polynomial stores no terms.  Fraction keeps every coefficient in
-lowest terms with a positive denominator, so scalars need no wrapper type.
+The zero polynomial stores no terms.  A coefficient is an int when it is
+integral and a Fraction (lowest terms, positive denominator) only when it
+is not.  Every RatFun part is integer-primitive, so the arithmetic inner
+loops run on plain ints and rationals appear only at the edges: parsed
+input, scaling by a non-integral constant and the linear solvers.  Floats
+are rejected; int and Fraction are equal and hash alike, so the choice of
+representation never shows in equality, hashing or printing.
 
 A rational function is a pair num/den of polynomials with den != 0,
 normalised at construction to keep representatives small and deterministic:
@@ -35,17 +40,39 @@ so everything here can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Rational = int | Fraction
+
+_INT_ONLY = frozenset({int})
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+def _exact(value) -> Rational:
+    """value as an int when integral, else as a Fraction; floats are refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"inexact coefficient {value!r}; use int or Fraction")
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _exact_div(a: Rational, b: Rational) -> Rational:
+    """a / b without ever producing a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return _exact(Fraction(a) / b)
+
+
+def _canonical(terms: dict) -> dict:
+    """Turn integral Fractions left by arithmetic on Fractions back into ints."""
+    if _INT_ONLY.issuperset(map(type, terms.values())):
+        return terms
+    return {e: _exact(c) for e, c in terms.items()}
 
 
 class Poly:
@@ -53,17 +80,17 @@ class Poly:
 
     __slots__ = ("variables", "terms", "_hash")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Fraction]):
+    def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Rational]):
         variables = tuple(variables)
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Rational] = {}
         nvars = len(variables)
         for exps, coeff in terms.items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not match {nvars} variables")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = _exact(coeff)
             if coeff != 0:
                 clean[tuple(exps)] = coeff
         object.__setattr__(self, "variables", variables)
@@ -71,9 +98,9 @@ class Poly:
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _raw(cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> Poly:
+    def _raw(cls, variables: tuple[str, ...], terms: dict[Exponent, Rational]) -> Poly:
         # Internal fast path: terms must already be canonical (tuple keys,
-        # nonzero Fraction values, correct arity).
+        # nonzero int or non-integral Fraction values, correct arity).
         self = object.__new__(cls)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", terms)
@@ -91,7 +118,7 @@ class Poly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value) -> Poly:
-        return cls(variables, {(0,) * len(tuple(variables)): Fraction(value)})
+        return cls(variables, {(0,) * len(tuple(variables)): value})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> Poly:
@@ -99,7 +126,7 @@ class Poly:
         if name not in variables:
             raise ValueError(f"unknown variable {name!r}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: _ONE})
+        return cls(variables, {exps: 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -113,17 +140,17 @@ class Poly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def is_constant(self) -> Optional[Fraction]:
+    def is_constant(self) -> Optional[Rational]:
         """The constant value if this polynomial is constant, else None."""
         if not self.terms:
-            return _ZERO
+            return 0
         if len(self.terms) == 1:
             exps, coeff = next(iter(self.terms.items()))
             if all(e == 0 for e in exps):
                 return coeff
         return None
 
-    def leading(self) -> tuple[Exponent, Fraction]:
+    def leading(self) -> tuple[Exponent, Rational]:
         """Leading term under graded-lex order (requires a nonzero poly)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -149,45 +176,47 @@ class Poly:
         self._require_same_variables(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            value = out.get(exps, _ZERO) + coeff
+            value = out.get(exps, 0) + coeff
             if value == 0:
                 out.pop(exps, None)
             else:
                 out[exps] = value
-        return Poly._raw(self.variables, out)
+        return Poly._raw(self.variables, _canonical(out))
 
     def __sub__(self, other: Poly) -> Poly:
         self._require_same_variables(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            value = out.get(exps, _ZERO) - coeff
+            value = out.get(exps, 0) - coeff
             if value == 0:
                 out.pop(exps, None)
             else:
                 out[exps] = value
-        return Poly._raw(self.variables, out)
+        return Poly._raw(self.variables, _canonical(out))
 
     def __neg__(self) -> Poly:
         return Poly._raw(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Poly) -> Poly:
         self._require_same_variables(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Rational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                value = out.get(exps, _ZERO) + c1 * c2
+                value = out.get(exps, 0) + c1 * c2
                 if value == 0:
                     out.pop(exps, None)
                 else:
                     out[exps] = value
-        return Poly._raw(self.variables, out)
+        return Poly._raw(self.variables, _canonical(out))
 
     def scale(self, value) -> Poly:
-        value = Fraction(value)
+        value = _exact(value)
         if value == 0:
             return Poly._raw(self.variables, {})
-        return Poly._raw(self.variables, {e: c * value for e, c in self.terms.items()})
+        return Poly._raw(
+            self.variables, _canonical({e: c * value for e, c in self.terms.items()})
+        )
 
     def __pow__(self, power: int) -> Poly:
         if power < 0:
@@ -203,14 +232,14 @@ class Poly:
 
     def derivative(self, name: str) -> Poly:
         idx = self.variables.index(name)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Rational] = {}
         for exps, coeff in self.terms.items():
             if exps[idx] == 0:
                 continue
             new = list(exps)
             new[idx] -= 1
             new_t = tuple(new)
-            out[new_t] = out.get(new_t, _ZERO) + coeff * exps[idx]
+            out[new_t] = out.get(new_t, 0) + coeff * exps[idx]
         return Poly(self.variables, out)
 
     def __eq__(self, other) -> bool:
@@ -227,7 +256,7 @@ class Poly:
 
     # -- printing --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Rational]]:
         """Terms in descending graded-lex order, the canonical print order."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
@@ -262,7 +291,7 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
-def _frac_str(value: Fraction) -> str:
+def _frac_str(value: Rational) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -316,17 +345,17 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def is_constant(self) -> Optional[Fraction]:
-        """The value as a Fraction if this is a constant, else None.
+    def is_constant(self) -> Optional[Rational]:
+        """The exact value (int or Fraction) if this is a constant, else None.
 
         num/den equals a scalar c iff num == c*den; c can only be the ratio
         of the leading coefficients, so one comparison decides it.
         """
         if self.is_zero:
-            return _ZERO
+            return 0
         _, cn = self.num.leading()
         _, cd = self.den.leading()
-        ratio = cn / cd
+        ratio = _exact_div(cn, cd)
         if self.num == self.den.scale(ratio):
             return ratio
         return None
@@ -444,18 +473,7 @@ def _normalize_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num.is_zero:
         return num, Poly.const(num.variables, 1)
 
-    # Joint primitive scaling: integer coefficients, collective gcd 1.
-    coeffs = list(num.terms.values()) + list(den.terms.values())
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = _lcm(denom_lcm, c.denominator)
-    numer_gcd = 0
-    for c in coeffs:
-        numer_gcd = gcd(numer_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-    factor = Fraction(denom_lcm, numer_gcd)
-    if factor != 1:
-        num = num.scale(factor)
-        den = den.scale(factor)
+    num, den = _primitive(num, den)
 
     # Strip a monomial factor common to every term of both polynomials.
     nvars = len(num.variables)
@@ -467,8 +485,8 @@ def _normalize_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
                     mins[i] = e
     if any(m for m in mins):
         shift = tuple(mins)
-        num = Poly(num.variables, {_shift(e, shift): c for e, c in num.terms.items()})
-        den = Poly(den.variables, {_shift(e, shift): c for e, c in den.terms.items()})
+        num = Poly._raw(num.variables, {_shift(e, shift): c for e, c in num.terms.items()})
+        den = Poly._raw(den.variables, {_shift(e, shift): c for e, c in den.terms.items()})
 
     # Cancel a common polynomial factor.  Content and monomial stripping are
     # already done, so a nontrivial factor needs both parts multi-term; that
@@ -492,6 +510,22 @@ def _normalize_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
+def _primitive(*polys: Poly) -> list[Poly]:
+    """Scale nonzero polys jointly to integer coefficients with collective gcd 1."""
+    coeffs = [c for p in polys for c in p.terms.values()]
+    if _INT_ONLY.issuperset(map(type, coeffs)):
+        content = gcd(*coeffs)
+        if content == 1:
+            return list(polys)
+        return [
+            Poly._raw(p.variables, {e: c // content for e, c in p.terms.items()})
+            for p in polys
+        ]
+    denom_lcm = lcm(*(c.denominator for c in coeffs))
+    numer_gcd = gcd(*(c.numerator * (denom_lcm // c.denominator) for c in coeffs))
+    return [p.scale(Fraction(denom_lcm, numer_gcd)) for p in polys]
+
+
 def _shift(exps: Exponent, shift: Exponent) -> Exponent:
     return tuple(e - s for e, s in zip(exps, shift))
 
@@ -504,8 +538,8 @@ _PROBE_POINTS = (
 )
 
 
-def _eval_int(p: Poly, point: tuple[int, ...]) -> Fraction:
-    total = Fraction(0)
+def _eval_int(p: Poly, point: tuple[int, ...]) -> Rational:
+    total = 0
     for exps, coeff in p.terms.items():
         value = coeff
         for base, e in zip(point, exps):
@@ -542,18 +576,18 @@ def poly_exact_div(a: Poly, b: Poly) -> Optional[Poly]:
     variables = a.variables
     b_lead_exp, b_lead_coeff = b.leading()
     remainder = dict(a.terms)
-    quotient: dict[Exponent, Fraction] = {}
+    quotient: dict[Exponent, Rational] = {}
     while remainder:
         exps = max(remainder, key=lambda e: (sum(e), e))
         coeff = remainder[exps]
         q_exp = tuple(x - y for x, y in zip(exps, b_lead_exp))
         if any(e < 0 for e in q_exp):
             return None
-        q_coeff = coeff / b_lead_coeff
+        q_coeff = _exact_div(coeff, b_lead_coeff)
         quotient[q_exp] = q_coeff
         for b_exp, b_coeff in b.terms.items():
             key = tuple(x + y for x, y in zip(q_exp, b_exp))
-            value = remainder.get(key, _ZERO) - q_coeff * b_coeff
+            value = remainder.get(key, 0) - q_coeff * b_coeff
             if value == 0:
                 remainder.pop(key, None)
             else:
@@ -565,13 +599,7 @@ def _integer_primitive(p: Poly) -> Poly:
     """Scale to integer coefficients with gcd 1 and positive leading term."""
     if p.is_zero:
         return p
-    denom_lcm = 1
-    for c in p.terms.values():
-        denom_lcm = _lcm(denom_lcm, c.denominator)
-    numer_gcd = 0
-    for c in p.terms.values():
-        numer_gcd = gcd(numer_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-    scaled = p.scale(Fraction(denom_lcm, numer_gcd))
+    (scaled,) = _primitive(p)
     _, lead = scaled.leading()
     return -scaled if lead < 0 else scaled
 
@@ -587,7 +615,7 @@ def _coeff_wrt(p: Poly, idx: int, degree: int) -> Poly:
             stripped = list(exps)
             stripped[idx] = 0
             terms[tuple(stripped)] = coeff
-    return Poly(p.variables, terms)
+    return Poly._raw(p.variables, terms)
 
 
 def _shift_in(p: Poly, idx: int, amount: int) -> Poly:
@@ -598,7 +626,7 @@ def _shift_in(p: Poly, idx: int, amount: int) -> Poly:
         shifted = list(exps)
         shifted[idx] += amount
         terms[tuple(shifted)] = coeff
-    return Poly(p.variables, terms)
+    return Poly._raw(p.variables, terms)
 
 
 def _pseudo_rem(a: Poly, b: Poly, idx: int) -> Poly:

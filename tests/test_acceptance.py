@@ -5,12 +5,9 @@ failure otherwise) and then asserts.  All comparisons are exact equalities
 of rational functions; there are no numeric tolerances to tune.
 """
 
-import os
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from superpi.atlas import (
     check_berezinian_trivial,
@@ -180,10 +177,6 @@ def test_criterion_4_berezinian_triviality():
     record("berezinian-triviality", ok)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SUPERPI_RUN_SLOW"),
-    reason="optional n=4 triviality check; set SUPERPI_RUN_SLOW=1",
-)
 def test_criterion_4_optional_n4():
     report = check_berezinian_trivial(build_pi_projective_closed(4))
     record("berezinian-triviality-n4", report.find("verdict").witness == "trivial (exact)")

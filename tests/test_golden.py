@@ -1,0 +1,102 @@
+"""Golden behaviour corpus: CLI output must stay identical down to the byte.
+
+`tests/golden/` holds the text and JSON report of every desk-scale
+`superpi verify` call below, plus one G_Pi(2, 4) transition dump.  The test
+regenerates all of them in fresh interpreters under two PYTHONHASHSEED
+values and compares byte for byte, so a refactor that changes any
+representative, verdict or ordering shows up here.
+
+Regenerate the corpus (only for an intended output change) with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from superpi.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+HASH_SEEDS = ("0", "4242")
+
+_VERIFY = (
+    *(("verify", "pi-projective", "--n", str(n)) for n in range(1, 6)),
+    ("verify", "projective-superspace", "--n", "1", "--m", "1"),
+    ("verify", "projective-superspace", "--n", "2", "--m", "3"),
+    ("verify", "grassmannian", "--d0", "1", "--d1", "1", "--vn", "2", "--vm", "2"),
+    ("verify", "grassmannian", "--d0", "2", "--d1", "0", "--vn", "4", "--vm", "0"),
+    ("verify", "lifting", "--n", "2"),
+    ("verify", "lifting", "--n", "3"),
+    ("verify", "obstruction", "--n", "2"),
+)
+CALLS = (
+    *(argv + fmt for argv in _VERIFY for fmt in ((), ("--format", "json"))),
+    ("dump", "transitions", "--family", "pi-grassmannian-24", "--source", "U1", "--target", "U2"),
+)
+
+
+def file_name(argv: tuple[str, ...]) -> str:
+    """`verify pi-projective --n 2 --format json` -> `verify-pi-projective-n-2.json`."""
+    ext = ".json" if argv[-2:] == ("--format", "json") else ".txt"
+    body = argv[:-2] if ext == ".json" else argv
+    return "-".join(arg.lstrip("-") for arg in body) + ext
+
+
+def render_all() -> dict[str, str]:
+    """Stdout of every corpus call, run in sequence in this interpreter."""
+    out = {}
+    for argv in CALLS:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(list(argv))
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)} exited with {code}")
+        out[file_name(argv)] = buffer.getvalue()
+    return out
+
+
+def test_corpus_is_complete():
+    names = sorted(file_name(argv) for argv in CALLS)
+    assert len(set(names)) == len(CALLS)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == names
+
+
+def test_output_matches_corpus_across_hash_seeds():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, __file__, "--emit"],
+            env=dict(env, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for seed in HASH_SEEDS
+    ]
+    for seed, proc in zip(HASH_SEEDS, procs):
+        stdout, stderr = proc.communicate(timeout=600)
+        assert proc.returncode == 0, f"PYTHONHASHSEED={seed}: {stderr}"
+        rendered = json.loads(stdout)
+        for name, text in rendered.items():
+            expected = (GOLDEN / name).read_bytes()
+            assert text.encode("utf-8") == expected, f"PYTHONHASHSEED={seed}: {name} differs"
+
+
+if __name__ == "__main__":
+    outputs = render_all()
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.mkdir(exist_ok=True)
+        for name, text in outputs.items():
+            (GOLDEN / name).write_bytes(text.encode("utf-8"))
+    elif sys.argv[1:] == ["--emit"]:
+        json.dump(outputs, sys.stdout)
+    else:
+        raise SystemExit("usage: test_golden.py --write | --emit")

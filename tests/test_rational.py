@@ -187,6 +187,50 @@ class TestEqualityProperties:
         assert (a * (b + c)).equals(a * b + a * c)
 
 
+def _all_int(r: RatFun) -> bool:
+    return all(type(c) is int for p in (r.num, r.den) for c in p.terms.values())
+
+
+class TestIntegerCore:
+    @given(small_ratfuns(), small_ratfuns())
+    def test_arithmetic_keeps_int_coefficients(self, a, b):
+        results = [a, a + b, a - b, a * b, a.derivative("x")]
+        if not b.is_zero:
+            results += [a / b, b.inverse()]
+        for r in results:
+            assert _all_int(r), r
+
+    def test_integral_fractions_stored_as_int(self):
+        half_x = poly({(1, 0, 0): Fraction(1, 2)})
+        assert type(poly({(1, 0, 0): Fraction(4, 2)}).terms[(1, 0, 0)]) is int
+        assert type((half_x + half_x).terms[(1, 0, 0)]) is int
+        assert type(half_x.scale(2).terms[(1, 0, 0)]) is int
+        assert type(Poly.const(V, Fraction(3)).is_constant()) is int
+
+    def test_non_integral_quotient_stays_exact(self):
+        two_x = poly({(1, 0, 0): 2})
+        three_x = poly({(1, 0, 0): 3})
+        q = poly_exact_div(two_x, three_x)
+        assert q == Poly.const(V, Fraction(2, 3))
+        assert type(q.is_constant()) is Fraction
+        ratio = RatFun(two_x, three_x).is_constant()
+        assert ratio == Fraction(2, 3) and type(ratio) is Fraction
+        assert type(RatFun(three_x.scale(2), three_x).is_constant()) is int
+
+    def test_float_coefficients_rejected(self):
+        x = Poly.var(V, "x")
+        with pytest.raises(TypeError):
+            Poly(("x",), {(1,): 0.1})
+        with pytest.raises(TypeError):
+            Poly.const(V, 0.5)
+        with pytest.raises(TypeError):
+            RatFun.const(V, 0.5)
+        with pytest.raises(TypeError):
+            x.scale(0.5)
+        with pytest.raises(TypeError):
+            RatFun.from_poly(x).scale(0.5)
+
+
 class TestLinearAlgebra:
     def test_rat_solve(self):
         x = var("x")
