@@ -6,7 +6,7 @@ cocycles, Berezinian triviality and obstruction classes.
 """
 
 from .rational import Poly, RatFun
-from .superalgebra import Chart, SuperFunction, parse_superfunction, substitute
+from .superalgebra import Chart, Pullback, SuperFunction, parse_superfunction, substitute
 from .supermatrix import SuperMatrix, berezinian, even_det, smat_inverse
 from .atlas import (
     Atlas,
@@ -45,6 +45,7 @@ __all__ = [
     "CechCochain1",
     "Chart",
     "Poly",
+    "Pullback",
     "RatFun",
     "SuperFunction",
     "SuperMatrix",

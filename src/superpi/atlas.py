@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .report import FAIL, PASS, UNDETERMINED, VerificationReport
-from .superalgebra import Chart, SuperFunction, substitute
+from .superalgebra import Chart, Pullback, SuperFunction, substitute
 from .supermatrix import SuperMatrix, berezinian
 
 
@@ -73,12 +73,17 @@ def identity_transition(chart: Chart) -> TransitionMap:
 
 
 def compose(t2: TransitionMap, t1: TransitionMap) -> TransitionMap:
-    """The transition first applying t1 and then t2 (t1.target = t2.source)."""
+    """The transition first applying t1 and then t2 (t1.target = t2.source).
+
+    Every image of t2 is pulled back through one Pullback, so they share its
+    caches; the caches go when the composition returns.
+    """
     if t2.source != t1.target:
         raise ValueError(
             f"cannot compose: {t2.source.name!r} is not {t1.target.name!r}"
         )
-    images = {name: substitute(img, t1.images) for name, img in t2.images.items()}
+    pull_back = Pullback(t1.target, t1.images)
+    images = {name: pull_back(img) for name, img in t2.images.items()}
     return TransitionMap(t1.source, t2.target, images)
 
 

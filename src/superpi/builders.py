@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .atlas import Atlas, TransitionMap, identity_transition
-from .rational import RatFun
+from .rational import RatFun, exact
 from .superalgebra import Chart, SuperFunction
 from .supermatrix import SuperMatrix, smat_inverse
 
@@ -231,14 +231,18 @@ def transformed_cell(zi: BigCell, zj: BigCell) -> SuperMatrix:
     return b_inv * zi.matrix
 
 
-def derive_transition_from_cells(zi: BigCell, zj: BigCell) -> TransitionMap:
+def derive_transition_from_cells(
+    zi: BigCell, zj: BigCell, w: SuperMatrix | None = None
+) -> TransitionMap:
     """Transition expressing Z_J's coordinates in Z_I's, from B_IJ^-1 Z_I.
 
     The identity columns of the transformed cell are verified, every
     occurrence of a coordinate in Z_J's template is read off, and repeated
-    occurrences are required to agree.
+    occurrences are required to agree.  w is transformed_cell(zi, zj) when
+    the caller has it already; it is computed otherwise.
     """
-    w = transformed_cell(zi, zj)
+    if w is None:
+        w = transformed_cell(zi, zj)
     d0, d1, n, _ = zj.shape
     one = SuperFunction.one(zi.chart)
     zero = SuperFunction.zero(zi.chart)
@@ -369,12 +373,13 @@ def build_pi_projective_closed(n: int, scale: Fraction | int = 1) -> Atlas:
     Even transitions pick up the degree-2 correction scale * th_ji th_li /
     z_ji^2 on top of the reduced ones; odd transitions are the cotangent
     frame rules under dz <-> th.  scale=1 is the standard normalisation,
-    scale=0 degenerates to the split model with the same odd part.
+    scale=0 degenerates to the split model with the same odd part.  scale
+    must be exact: a float raises TypeError.
     """
     if n < 1:
         raise ValueError("Pi-projective space needs n >= 1")
     _check_digit(n, "n")
-    scale = Fraction(scale)
+    scale = exact(scale)
     charts = [pi_projective_chart(n, i) for i in range(n + 1)]
     transitions: dict[tuple[str, str], TransitionMap] = {}
     for i, src in enumerate(charts):
@@ -453,21 +458,27 @@ def grassmannian_cells(d0: int, d1: int, n: int, m: int) -> list[BigCell]:
     return cells
 
 
-def _atlas_from_cells(cells: list[BigCell], pi_symmetric: bool = False) -> Atlas:
+def _atlas_from_cells(
+    cells: list[BigCell], pi_verdicts: dict[tuple[str, str], bool] | None = None
+) -> Atlas:
+    """Atlas with one transition per ordered pair of cells, each derived once.
+
+    With pi_verdicts, every transformed cell is also tested for
+    Pi-symmetry and the verdict stored under (source, target), in pair
+    order; the transition is read off the same matrix.
+    """
     charts = [cell.chart for cell in cells]
     transitions: dict[tuple[str, str], TransitionMap] = {}
     for zi in cells:
         for zj in cells:
-            if zi.chart.name == zj.chart.name:
-                transitions[(zi.chart.name, zj.chart.name)] = identity_transition(zi.chart)
+            pair = (zi.chart.name, zj.chart.name)
+            if zi is zj:
+                transitions[pair] = identity_transition(zi.chart)
                 continue
-            if pi_symmetric:
-                w = transformed_cell(zi, zj)
-                if not check_pi_symmetric(w):
-                    raise ValueError(
-                        f"derived cell {zi.chart.name}->{zj.chart.name} lost Pi-symmetry"
-                    )
-            transitions[(zi.chart.name, zj.chart.name)] = derive_transition_from_cells(zi, zj)
+            w = transformed_cell(zi, zj)
+            if pi_verdicts is not None:
+                pi_verdicts[pair] = check_pi_symmetric(w)
+            transitions[pair] = derive_transition_from_cells(zi, zj, w)
     return Atlas(charts, transitions)
 
 
@@ -497,13 +508,32 @@ def pi_grassmannian_cells(k: int, big_n: int) -> list[BigCell]:
     )
 
 
+def derive_pi_grassmannian(
+    k: int, big_n: int
+) -> tuple[Atlas, dict[tuple[str, str], bool]]:
+    """Pi-Grassmannian atlas from the Pi-cells, plus the Pi-symmetry verdict
+    of every derived cell keyed by (source, target) in pair order.
+
+    A derived cell that lost Pi-symmetry is recorded, not raised; its
+    transition is still read off (a read-off that disagrees with itself
+    raises ValueError there).
+    """
+    verdicts: dict[tuple[str, str], bool] = {}
+    atlas = _atlas_from_cells(pi_grassmannian_cells(k, big_n), verdicts)
+    return atlas, verdicts
+
+
 def build_pi_grassmannian(k: int, big_n: int) -> Atlas:
     """Atlas of the Pi-Grassmannian, transitions derived from the Pi-cells.
 
-    Every derived cell is verified to stay Pi-symmetric before its
-    transition is accepted.
+    Every derived cell is verified to stay Pi-symmetric; ValueError names
+    the first pair that did not.
     """
-    return _atlas_from_cells(pi_grassmannian_cells(k, big_n), pi_symmetric=True)
+    atlas, verdicts = derive_pi_grassmannian(k, big_n)
+    for (i, j), symmetric in verdicts.items():
+        if not symmetric:
+            raise ValueError(f"derived cell {i}->{j} lost Pi-symmetry")
+    return atlas
 
 
 def atlases_equal(a: Atlas, b: Atlas) -> bool:

@@ -29,7 +29,7 @@ from typing import Mapping, Optional
 
 from .atlas import Atlas, TransitionMap
 from .builders import build_projective_superspace, reduce_atlas
-from .rational import Poly, RatFun, rat_mat_inverse, rat_solve, solve_fraction_system
+from .rational import Poly, RatFun, exact, rat_mat_inverse, rat_solve, solve_fraction_system
 from .report import FAIL, PASS, VerificationReport
 from .superalgebra import Chart, SuperFunction
 
@@ -180,12 +180,13 @@ def omega_representative(n: int, scale: Fraction | int = 1) -> CechCochain1:
 
         (dz_ij ^ dz_kj / z_ij) (x) d/dz_kj
 
-    written on chart j.  scale multiplies every coefficient.
+    written on chart j.  scale multiplies every coefficient; it must be
+    exact, a float raises TypeError.
     """
     if n < 2:
         raise ValueError("the obstruction cochain needs n >= 2")
     atlas = reduced_projective_atlas(n)
-    scale = Fraction(scale)
+    scale = exact(scale)
     sections: dict[tuple[str, str], TensorSection] = {}
     for i, j in combinations(range(n + 1), 2):
         chart = atlas.chart(f"U{j}")

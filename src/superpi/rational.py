@@ -50,7 +50,7 @@ Rational = int | Fraction
 _INT_ONLY = frozenset({int})
 
 
-def _exact(value) -> Rational:
+def exact(value) -> Rational:
     """value as an int when integral, else as a Fraction; floats are refused."""
     if type(value) is int:
         return value
@@ -65,14 +65,14 @@ def _exact_div(a: Rational, b: Rational) -> Rational:
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
-    return _exact(Fraction(a) / b)
+    return exact(Fraction(a) / b)
 
 
 def _canonical(terms: dict) -> dict:
     """Turn integral Fractions left by arithmetic on Fractions back into ints."""
     if _INT_ONLY.issuperset(map(type, terms.values())):
         return terms
-    return {e: _exact(c) for e, c in terms.items()}
+    return {e: exact(c) for e, c in terms.items()}
 
 
 class Poly:
@@ -90,7 +90,7 @@ class Poly:
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             if type(coeff) is not int:
-                coeff = _exact(coeff)
+                coeff = exact(coeff)
             if coeff != 0:
                 clean[tuple(exps)] = coeff
         object.__setattr__(self, "variables", variables)
@@ -211,7 +211,7 @@ class Poly:
         return Poly._raw(self.variables, _canonical(out))
 
     def scale(self, value) -> Poly:
-        value = _exact(value)
+        value = exact(value)
         if value == 0:
             return Poly._raw(self.variables, {})
         return Poly._raw(
@@ -476,15 +476,8 @@ def _normalize_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     num, den = _primitive(num, den)
 
     # Strip a monomial factor common to every term of both polynomials.
-    nvars = len(num.variables)
-    mins = [None] * nvars
-    for terms in (num.terms, den.terms):
-        for exps in terms:
-            for i, e in enumerate(exps):
-                if mins[i] is None or e < mins[i]:
-                    mins[i] = e
-    if any(m for m in mins):
-        shift = tuple(mins)
+    shift = tuple(map(min, zip(*num.terms, *den.terms)))
+    if any(shift):
         num = Poly._raw(num.variables, {_shift(e, shift): c for e, c in num.terms.items()})
         den = Poly._raw(den.variables, {_shift(e, shift): c for e, c in den.terms.items()})
 

@@ -21,10 +21,8 @@ from .builders import (
     build_pi_projective_closed,
     build_projective_superspace,
     build_super_grassmannian,
-    check_pi_symmetric,
+    derive_pi_grassmannian,
     grassmannian_cells,
-    pi_grassmannian_cells,
-    transformed_cell,
 )
 from .cohomology import (
     check_cech_cocycle,
@@ -171,22 +169,13 @@ def suite_grassmannian(d0: int, d1: int, n: int, m: int) -> VerificationReport:
 def suite_pi_grassmannian_24() -> VerificationReport:
     """Full verification of the rank-2 Pi-Grassmannian on a 4|4 space."""
     report = VerificationReport("pi-grassmannian (2, 4)")
-    cells = pi_grassmannian_cells(2, 4)
-    report.add_bool("cells/count", len(cells) == 6, f"{len(cells)} cells, expected 6")
-
-    by_name = {cell.chart.name: cell for cell in cells}
-    for zi in cells:
-        for zj in cells:
-            if zi.chart.name == zj.chart.name:
-                continue
-            ok = check_pi_symmetric(transformed_cell(zi, zj))
-            report.add_bool(
-                f"pi-symmetry/{zi.chart.name}->{zj.chart.name}",
-                ok,
-                "derived cell is not Pi-symmetric",
-            )
-
-    atlas = build_pi_grassmannian(2, 4)
+    atlas, pi_verdicts = derive_pi_grassmannian(2, 4)
+    count = len(atlas.charts)
+    report.add_bool("cells/count", count == 6, f"{count} cells, expected 6")
+    for (i, j), symmetric in pi_verdicts.items():
+        report.add_bool(
+            f"pi-symmetry/{i}->{j}", symmetric, "derived cell is not Pi-symmetric"
+        )
     report.merge(check_cocycle(atlas), prefix="cocycle/")
 
     t12 = atlas.transition("U1", "U2")

@@ -320,73 +320,98 @@ class SuperFunction:
         return f"SuperFunction({self.chart.name!r}, {self.to_str()})"
 
 
-def substitute(
-    f: SuperFunction, assignment: Mapping[str, SuperFunction]
-) -> SuperFunction:
-    """Apply the ring homomorphism sending each coordinate to its image.
+class Pullback:
+    """The ring homomorphism sending each coordinate of a chart to its image.
 
     Even coordinates must map to even superfunctions with nonzero body,
     odd coordinates to odd superfunctions, and all images must share one
     chart.  Odd monomials map to the ordered product of the images.
+
+    The assignment is checked once, when the pullback is built.  The powers
+    of the images, the images of numerator and denominator polynomials and
+    the inverted denominator images are cached on the object, so every
+    function pulled back through it shares them; drop the object to drop
+    the caches.
     """
-    target = None
-    for img in assignment.values():
+
+    def __init__(self, source: Chart, assignment: Mapping[str, SuperFunction]):
+        target = None
+        for img in assignment.values():
+            if target is None:
+                target = img.chart
+            elif img.chart != target:
+                raise ValueError("substitution images live on different charts")
         if target is None:
-            target = img.chart
-        elif img.chart != target:
-            raise ValueError("substitution images live on different charts")
-    if target is None:
-        raise ValueError("empty substitution")
-    for name, img in assignment.items():
-        if f.chart.is_even(name):
-            if img.parity != "even":
-                raise ValueError(f"even coordinate {name!r} mapped to non-even image")
-            if img.body().is_zero:
-                raise ValueError(f"even coordinate {name!r} mapped to zero-body image")
-        else:
-            if not img.is_zero and img.parity != "odd":
-                raise ValueError(f"odd coordinate {name!r} mapped to non-odd image")
+            raise ValueError("empty substitution")
+        for name, img in assignment.items():
+            if source.is_even(name):
+                if img.parity != "even":
+                    raise ValueError(f"even coordinate {name!r} mapped to non-even image")
+                if img.body().is_zero:
+                    raise ValueError(f"even coordinate {name!r} mapped to zero-body image")
+            else:
+                if not img.is_zero and img.parity != "odd":
+                    raise ValueError(f"odd coordinate {name!r} mapped to non-odd image")
+        self.source = source
+        self.target = target
+        self.assignment = assignment
+        self._powers: dict[str, list[SuperFunction]] = {}
+        self._poly_images: dict[Poly, SuperFunction] = {}
+        self._inverses: dict[Poly, SuperFunction] = {}
 
-    powers: dict[str, list[SuperFunction]] = {}
-    poly_cache: dict[Poly, SuperFunction] = {}
-    inverse_cache: dict[Poly, SuperFunction] = {}
+    def _image(self, name: str) -> SuperFunction:
+        try:
+            return self.assignment[name]
+        except KeyError:
+            raise ValueError(f"no image for coordinate {name!r}") from None
 
-    def poly_image(p: Poly) -> SuperFunction:
-        cached = poly_cache.get(p)
+    def _poly_image(self, p: Poly) -> SuperFunction:
+        cached = self._poly_images.get(p)
         if cached is not None:
             return cached
+        target = self.target
         result = SuperFunction.zero(target)
         for exps, coeff in p.terms.items():
             term = SuperFunction.const(target, coeff)
             for v, e in zip(p.variables, exps):
                 if e == 0:
                     continue
-                if v not in assignment:
-                    raise ValueError(f"no image for coordinate {v!r}")
-                cache = powers.setdefault(v, [SuperFunction.one(target)])
+                cache = self._powers.get(v)
+                if cache is None:
+                    cache = self._powers[v] = [SuperFunction.one(target)]
                 while len(cache) <= e:
-                    cache.append(cache[-1] * assignment[v])
+                    cache.append(cache[-1] * self._image(v))
                 term = term * cache[e]
             result = result + term
-        poly_cache[p] = result
+        self._poly_images[p] = result
         return result
 
-    def den_inverse(p: Poly) -> SuperFunction:
-        cached = inverse_cache.get(p)
+    def _den_inverse(self, p: Poly) -> SuperFunction:
+        cached = self._inverses.get(p)
         if cached is None:
-            cached = poly_image(p).invert()
-            inverse_cache[p] = cached
+            cached = self._inverses[p] = self._poly_image(p).invert()
         return cached
 
-    total = SuperFunction.zero(target)
-    for mon, coeff in f.components.items():
-        term = poly_image(coeff.num) * den_inverse(coeff.den)
-        for name in mon:
-            if name not in assignment:
-                raise ValueError(f"no image for coordinate {name!r}")
-            term = term * assignment[name]
-        total = total + term
-    return total
+    def __call__(self, f: SuperFunction) -> SuperFunction:
+        if f.chart != self.source:
+            raise ValueError(
+                f"pullback from chart {self.source.name!r} applied to a function "
+                f"on {f.chart.name!r}"
+            )
+        total = SuperFunction.zero(self.target)
+        for mon, coeff in f.components.items():
+            term = self._poly_image(coeff.num) * self._den_inverse(coeff.den)
+            for name in mon:
+                term = term * self._image(name)
+            total = total + term
+        return total
+
+
+def substitute(
+    f: SuperFunction, assignment: Mapping[str, SuperFunction]
+) -> SuperFunction:
+    """Pull f back through a one-off Pullback; see there for the contract."""
+    return Pullback(f.chart, assignment)(f)
 
 
 # -- canonical text form -------------------------------------------------------

@@ -17,9 +17,14 @@ from superpi.atlas import (
     super_jacobian,
     transition_eq,
 )
-from superpi.builders import build_pi_projective_closed, build_projective_superspace
+from superpi.builders import (
+    build_pi_projective_closed,
+    build_projective_superspace,
+    derive_transition_from_cells,
+    pi_grassmannian_cells,
+)
 from superpi.report import FAIL, PASS
-from superpi.superalgebra import Chart, parse_superfunction
+from superpi.superalgebra import Chart, parse_superfunction, substitute
 from superpi.supermatrix import SuperMatrix, berezinian
 
 from conftest import random_transition
@@ -48,6 +53,25 @@ class TestCompose:
         atlas = build_pi_projective_closed(2)
         with pytest.raises(ValueError, match="cannot compose"):
             compose(atlas.transition("U0", "U1"), atlas.transition("U0", "U1"))
+
+    @staticmethod
+    def assert_matches_one_shot(t2, t1):
+        composed = compose(t2, t1)
+        for name, img in t2.images.items():
+            assert composed.images[name].equals(substitute(img, t1.images))
+
+    def test_shared_pullback_matches_one_shot_substitution(self):
+        atlas = build_pi_projective_closed(3)
+        names = atlas.chart_names()
+        for i, j in atlas.pairs():
+            k = next(name for name in names if name not in (i, j))
+            self.assert_matches_one_shot(atlas.transition(j, k), atlas.transition(i, j))
+
+    def test_shared_pullback_matches_on_pi_grassmannian_24(self):
+        u1, u2, u3 = pi_grassmannian_cells(2, 4)[:3]
+        self.assert_matches_one_shot(
+            derive_transition_from_cells(u2, u3), derive_transition_from_cells(u1, u2)
+        )
 
 
 class TestCheckCocycle:

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from superpi import builders
 from superpi.atlas import check_cocycle
 from superpi.builders import (
     CellOverlapError,
@@ -22,6 +23,8 @@ from superpi.builders import (
     transformed_cell,
 )
 from superpi.rational import RatFun
+from superpi.report import FAIL, PASS
+from superpi.suites import suite_pi_grassmannian_24
 from superpi.superalgebra import SuperFunction, parse_superfunction
 from superpi.supermatrix import SuperMatrix
 
@@ -109,6 +112,10 @@ class TestPiProjective:
 
     def test_scaled_corrections_still_glue(self):
         assert check_cocycle(build_pi_projective_closed(2, scale=2)).all_passed
+
+    def test_float_scale_rejected(self):
+        with pytest.raises(TypeError, match="inexact"):
+            build_pi_projective_closed(2, 0.1)
 
     def test_reduction_gives_projective_space(self):
         reduced = reduce_atlas(build_pi_projective_closed(2))
@@ -218,3 +225,45 @@ class TestPiGrassmannian24:
         )
         with pytest.raises(CellOverlapError):
             derive_transition_from_cells(degenerate, cells[1])
+
+
+def _count_derivations(monkeypatch, lost_pair=None):
+    """Count transformed_cell / check_pi_symmetric calls in the builders
+    module; the Pi check reports a loss for lost_pair, the pair whose cell
+    was transformed last."""
+    calls = {"transformed_cell": [], "check_pi_symmetric": 0}
+    transform = builders.transformed_cell
+    pi_check = builders.check_pi_symmetric
+
+    def counted_transform(zi, zj):
+        calls["transformed_cell"].append((zi.chart.name, zj.chart.name))
+        return transform(zi, zj)
+
+    def counted_pi_check(matrix):
+        calls["check_pi_symmetric"] += 1
+        if calls["transformed_cell"][-1] == lost_pair:
+            return False
+        return pi_check(matrix)
+
+    monkeypatch.setattr(builders, "transformed_cell", counted_transform)
+    monkeypatch.setattr(builders, "check_pi_symmetric", counted_pi_check)
+    return calls
+
+
+class TestPiVerdictPlumbing:
+    def test_suite_derives_each_pair_once_and_reports_lost_symmetry(self, monkeypatch):
+        calls = _count_derivations(monkeypatch, lost_pair=("U2", "U5"))
+        report = suite_pi_grassmannian_24()
+        pairs = calls["transformed_cell"]
+        assert len(pairs) == 30 and len(set(pairs)) == 30
+        assert calls["check_pi_symmetric"] == 30
+        pi_checks = [c for c in report.checks if c.identifier.startswith("pi-symmetry/")]
+        assert [c.identifier for c in pi_checks] == [f"pi-symmetry/{i}->{j}" for i, j in pairs]
+        not_passed = {c.identifier: c.status for c in report.checks if c.status != PASS}
+        assert not_passed == {"pi-symmetry/U2->U5": FAIL}
+
+    def test_build_raises_on_lost_symmetry(self, monkeypatch):
+        calls = _count_derivations(monkeypatch, lost_pair=("U1", "U0"))
+        with pytest.raises(ValueError, match="U1->U0 lost Pi-symmetry"):
+            build_pi_grassmannian(1, 3)
+        assert calls["check_pi_symmetric"] == len(calls["transformed_cell"]) == 6

@@ -99,6 +99,10 @@ class TestOmegaRepresentative:
     def test_scale_zero_gives_zero(self):
         assert omega_representative(2, scale=0).is_zero()
 
+    def test_float_scale_rejected(self):
+        with pytest.raises(TypeError, match="inexact"):
+            omega_representative(2, 0.1)
+
     def test_cocycle_condition(self):
         assert check_cech_cocycle(omega_representative(2)).all_passed
         assert check_cech_cocycle(omega_representative(3)).all_passed

@@ -39,6 +39,7 @@ _VERIFY = (
 )
 CALLS = (
     *(argv + fmt for argv in _VERIFY for fmt in ((), ("--format", "json"))),
+    ("verify", "pi-grassmannian-24", "--format", "json"),
     ("dump", "transitions", "--family", "pi-grassmannian-24", "--source", "U1", "--target", "U2"),
 )
 

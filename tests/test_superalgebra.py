@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superpi.superalgebra import Chart, SuperFunction, parse_superfunction, substitute
+from superpi.superalgebra import (
+    Chart,
+    Pullback,
+    SuperFunction,
+    parse_superfunction,
+    substitute,
+)
 
 from conftest import random_superfunction
 
@@ -198,6 +204,41 @@ class TestSubstitute:
         bad["z01"] = sf("(1)*[th10*th20]")
         with pytest.raises(ValueError, match="zero-body"):
             substitute(SuperFunction.coordinate(U1, "z01"), bad)
+
+    @pytest.mark.parametrize(
+        "name, image, message",
+        [
+            ("z01", "(1)*[th10]", "even coordinate 'z01' mapped to non-even image"),
+            ("z01", "(1)*[th10*th20]", "even coordinate 'z01' mapped to zero-body image"),
+            ("th01", "(z10)", "odd coordinate 'th01' mapped to non-odd image"),
+        ],
+    )
+    def test_bad_assignment_messages(self, name, image, message):
+        bad = dict(self.transition_images(), **{name: sf(image)})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Pullback(U1, bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            substitute(SuperFunction.coordinate(U1, "z01"), bad)
+
+    def test_mixed_charts_and_empty_assignment_rejected(self):
+        mixed = dict(self.transition_images(), z01=SuperFunction.coordinate(U1, "z01"))
+        with pytest.raises(ValueError, match="^substitution images live on different charts$"):
+            substitute(SuperFunction.coordinate(U1, "z01"), mixed)
+        with pytest.raises(ValueError, match="^empty substitution$"):
+            substitute(SuperFunction.coordinate(U1, "z01"), {})
+
+    def test_missing_image_rejected_when_needed(self):
+        partial = {"z01": self.transition_images()["z01"]}
+        pull_back = Pullback(U1, partial)
+        assert pull_back(SuperFunction.coordinate(U1, "z01")).equals(partial["z01"])
+        with pytest.raises(ValueError, match="^no image for coordinate 'z21'$"):
+            pull_back(SuperFunction.coordinate(U1, "z21"))
+        with pytest.raises(ValueError, match="^no image for coordinate 'th21'$"):
+            pull_back(SuperFunction.coordinate(U1, "th21"))
+
+    def test_pullback_refuses_other_chart(self):
+        with pytest.raises(ValueError, match="applied to a function on 'U0'"):
+            Pullback(U1, self.transition_images())(SuperFunction.coordinate(U0, "z10"))
 
 
 class TestLeibnizAndKoszul:
