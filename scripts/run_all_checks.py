@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every verification suite at desk scale and print the reports.
 
-Exits nonzero if any check fails.  The Pi-Grassmannian suite is the slow
-one (a minute or so); pass --quick to skip it.
+Exits nonzero if any check fails.  Obstruction n=3 is the slowest suite
+(about 20 s) and the (2, 4) Pi-Grassmannian suite takes about 6 s; pass
+--quick to skip the latter.
 """
 
 import argparse

@@ -25,7 +25,7 @@ from itertools import combinations, permutations
 
 from .report import FAIL, PASS, UNDETERMINED, VerificationReport
 from .superalgebra import Chart, Pullback, SuperFunction, substitute
-from .supermatrix import SuperMatrix, berezinian
+from .supermatrix import SuperMatrix, berezinian, grid_mul
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,6 @@ class TransitionMap:
             raise ValueError("pull_back expects a function on the target chart")
         return substitute(f, self.images)
 
-    def is_identity(self) -> bool:
-        if self.source != self.target:
-            return False
-        return all(
-            self.images[name].equals(SuperFunction.coordinate(self.source, name))
-            for name in self.target.coords
-        )
-
 
 def identity_transition(chart: Chart) -> TransitionMap:
     return TransitionMap(
@@ -87,10 +79,19 @@ def compose(t2: TransitionMap, t1: TransitionMap) -> TransitionMap:
     return TransitionMap(t1.source, t2.target, images)
 
 
-def transition_eq(a: TransitionMap, b: TransitionMap) -> bool:
-    if a.source != b.source or a.target != b.target:
-        return False
-    return all(a.images[n].equals(b.images[n]) for n in a.target.coords)
+def transition_mismatch(a: TransitionMap, b: TransitionMap) -> str:
+    """The empty string when a and b are equal, else a witness of the first difference.
+
+    The witness of a differing coordinate is its image under a minus its
+    image under b.
+    """
+    if (a.source, a.target) != (b.source, b.target):
+        return f"charts {a.source.name}->{a.target.name} vs {b.source.name}->{b.target.name}"
+    for name in a.target.coords:
+        if not a.images[name].equals(b.images[name]):
+            diff = a.images[name] - b.images[name]
+            return f"coordinate {name}: difference {diff.to_str()}"
+    return ""
 
 
 class Atlas:
@@ -132,6 +133,15 @@ class Atlas:
         return [(i, j) for i in names for j in names if i != j]
 
 
+def atlases_equal(a: Atlas, b: Atlas) -> bool:
+    """The same charts in the same order and equal transitions on the same pairs."""
+    return (
+        a.charts == b.charts
+        and a.transitions.keys() == b.transitions.keys()
+        and not any(transition_mismatch(t, b.transitions[k]) for k, t in a.transitions.items())
+    )
+
+
 def check_cocycle(atlas: Atlas) -> VerificationReport:
     """Round-trip and triple-overlap consistency of every transition.
 
@@ -141,9 +151,10 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
     """
     report = VerificationReport("cocycle")
     names = atlas.chart_names()
+    identity = {name: identity_transition(atlas.chart(name)) for name in names}
     for i, j in atlas.pairs():
         round_trip = compose(atlas.transition(j, i), atlas.transition(i, j))
-        _check_is_identity(report, f"roundtrip/{i}->{j}->{i}", round_trip)
+        _add_match(report, f"roundtrip/{i}->{j}->{i}", round_trip, identity[i])
     for combo in combinations(names, 3):
         orderings = (
             list(permutations(combo))
@@ -153,33 +164,13 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
         for i, j, k in orderings:
             direct = atlas.transition(i, k)
             threaded = compose(atlas.transition(j, k), atlas.transition(i, j))
-            _check_transitions_match(report, f"triple/{i},{j},{k}", direct, threaded)
+            _add_match(report, f"triple/{i},{j},{k}", direct, threaded)
     return report
 
 
-def _check_is_identity(report: VerificationReport, identifier: str, t: TransitionMap):
-    for name in t.target.coords:
-        expected = SuperFunction.coordinate(t.source, name)
-        if not t.images[name].equals(expected):
-            diff = t.images[name] - expected
-            report.add(
-                identifier, FAIL, f"coordinate {name}: difference {diff.to_str()}"
-            )
-            return
-    report.add(identifier, PASS)
-
-
-def _check_transitions_match(
-    report: VerificationReport, identifier: str, a: TransitionMap, b: TransitionMap
-):
-    for name in a.target.coords:
-        if not a.images[name].equals(b.images[name]):
-            diff = a.images[name] - b.images[name]
-            report.add(
-                identifier, FAIL, f"coordinate {name}: difference {diff.to_str()}"
-            )
-            return
-    report.add(identifier, PASS)
+def _add_match(report: VerificationReport, identifier: str, a: TransitionMap, b: TransitionMap):
+    witness = transition_mismatch(a, b)
+    report.add(identifier, FAIL if witness else PASS, witness)
 
 
 def super_jacobian(t: TransitionMap) -> SuperMatrix:
@@ -208,24 +199,17 @@ def jacobian_chain_product(j_inner: SuperMatrix, j_outer_pulled: SuperMatrix) ->
     if j_inner.row_shape != j_outer_pulled.col_shape:
         raise ValueError("inner rows must match outer columns")
     chart = j_inner.chart
-    zero = SuperFunction.zero(chart)
-    inner_n = j_inner.row_shape[0] + j_inner.row_shape[1]
-    rows = j_outer_pulled.row_shape[0] + j_outer_pulled.row_shape[1]
-    cols = j_inner.col_shape[0] + j_inner.col_shape[1]
-    grid = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = zero
-            for m in range(inner_n):
-                left = j_inner.entries[m][c]
-                right = j_outer_pulled.entries[r][m]
-                if left.is_zero or right.is_zero:
-                    continue
-                acc = acc + left * right
-            row.append(acc)
-        grid.append(row)
-    return SuperMatrix(chart, j_outer_pulled.row_shape, j_inner.col_shape, grid)
+    rows, inner = sum(j_outer_pulled.row_shape), sum(j_inner.row_shape)
+    cols = sum(j_inner.col_shape)
+    # The transpose of j_inner^T * j_outer_pulled^T, so each left factor is from j_inner.
+    inner_t = _transpose(j_inner.entries, cols)
+    grid = grid_mul(inner_t, _transpose(j_outer_pulled.entries, inner), chart, rows)
+    return SuperMatrix(chart, j_outer_pulled.row_shape, j_inner.col_shape, _transpose(grid, rows))
+
+
+def _transpose(grid, width: int):
+    """The transpose of a grid whose rows have the given width (also when it has no rows)."""
+    return [[row[c] for row in grid] for c in range(width)]
 
 
 def berezinian_class(value: SuperFunction) -> tuple[str, str]:

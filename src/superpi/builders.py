@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 from .atlas import Atlas, TransitionMap, identity_transition
 from .rational import RatFun, exact
 from .superalgebra import Chart, SuperFunction
-from .supermatrix import SuperMatrix, smat_inverse
+from .supermatrix import SuperMatrix, grid_mul, smat_inverse
 
 
 class CellOverlapError(ValueError):
@@ -302,14 +302,9 @@ def check_pi_symmetric(matrix: SuperMatrix) -> bool:
         v_pi = [-matrix.entries[r][big_n + c] for c in range(big_n)]
         v_pi += [matrix.entries[r][c] for c in range(big_n)]
         coeffs = [v_pi[unit_col[t]] for t in range(k2)]
-        for c in range(2 * big_n):
-            acc = zero
-            for t in range(k2):
-                if coeffs[t].is_zero or matrix.entries[t][c].is_zero:
-                    continue
-                acc = acc + coeffs[t] * matrix.entries[t][c]
-            if not acc.equals(v_pi[c]):
-                return False
+        combination = grid_mul([coeffs], matrix.entries, chart)[0]
+        if not all(acc.equals(v) for acc, v in zip(combination, v_pi)):
+            return False
     return True
 
 
@@ -534,22 +529,6 @@ def build_pi_grassmannian(k: int, big_n: int) -> Atlas:
         if not symmetric:
             raise ValueError(f"derived cell {i}->{j} lost Pi-symmetry")
     return atlas
-
-
-def atlases_equal(a: Atlas, b: Atlas) -> bool:
-    """Chart-by-chart, coordinate-by-coordinate exact equality."""
-    if [c.name for c in a.charts] != [c.name for c in b.charts]:
-        return False
-    for ca, cb in zip(a.charts, b.charts):
-        if ca != cb:
-            return False
-    for key, t in a.transitions.items():
-        other = b.transitions.get(key)
-        if other is None:
-            return False
-        if not all(t.images[n].equals(other.images[n]) for n in t.target.coords):
-            return False
-    return True
 
 
 def reduce_atlas(atlas: Atlas) -> Atlas:

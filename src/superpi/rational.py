@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -742,51 +742,78 @@ def _poly_substitute(p: Poly, images: Mapping[str, RatFun]) -> RatFun:
     return result
 
 
-# -- exact linear algebra over rational functions ---------------------------
+# -- exact linear algebra ----------------------------------------------------
+
+
+# What elimination needs of its entries, as a triple: a nonzero test (which
+# entries must be cleared), a pivot test and the inverse of a pivot.
+Field = tuple[Callable[[Any], bool], Callable[[Any], bool], Callable[[Any], Any]]
+
+
+def nonzero(value) -> bool:
+    return not value.is_zero
+
+
+FRACTIONS: Field = (bool, bool, lambda value: 1 / value)
+RATFUNS: Field = (nonzero, nonzero, lambda value: value.inverse())
+
+
+def gauss_jordan(aug: list[list], n_cols: int, field: Field) -> list[int]:
+    """Reduce the first n_cols columns of aug in place; return the pivot columns.
+
+    The pivot is the first pivotable entry at or below the current row; its
+    row is swapped up and scaled by the inverse, then the other rows are
+    cleared top to bottom, skipping zeros.  Columns without a pivot are
+    skipped, and the reduction stops when the rows run out.
+    """
+    nonzero_test, pivotable, inverse = field
+    pivots: list[int] = []
+    for col in range(n_cols):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(aug)) if pivotable(aug[r][col])), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = inverse(aug[row][col])
+        aug[row] = [entry * inv for entry in aug[row]]
+        for r, other in enumerate(aug):
+            if r != row and nonzero_test(other[col]):
+                f = other[col]
+                aug[r] = [a - f * b for a, b in zip(other, aug[row])]
+        pivots.append(col)
+        if len(pivots) == len(aug):
+            break
+    return pivots
+
+
+def solve_square(
+    matrix: Sequence[Sequence], right: Sequence[Sequence], field: Field, name: str, singular: str
+) -> list[list]:
+    """matrix^-1 * right for a square invertible matrix; ValueError otherwise."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or len(right) != n:
+        raise ValueError(f"{name} expects a square system")
+    aug = [list(row) + list(extra) for row, extra in zip(matrix, right)]
+    if len(gauss_jordan(aug, n, field)) < n:
+        raise ValueError(singular)
+    return [row[n:] for row in aug]
 
 
 def rat_solve(matrix: Sequence[Sequence[RatFun]], rhs: Sequence[RatFun]) -> list[RatFun]:
     """Solve M x = rhs exactly for a square invertible RatFun matrix."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("rat_solve expects a square system")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
-        if pivot is None:
-            raise ValueError("singular matrix in rat_solve")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [entry * inv for entry in aug[col]]
-        for r in range(n):
-            if r == col or aug[r][col].is_zero:
-                continue
-            f = aug[r][col]
-            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    singular = "singular matrix in rat_solve"
+    x = solve_square(matrix, [[v] for v in rhs], RATFUNS, "rat_solve", singular)
+    return [row[0] for row in x]
 
 
 def rat_mat_inverse(matrix: Sequence[Sequence[RatFun]]) -> list[list[RatFun]]:
     """Exact inverse of a square invertible RatFun matrix."""
     n = len(matrix)
-    variables = matrix[0][0].variables if n else ()
-    aug = [
-        list(row) + [RatFun.const(variables, 1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
-        if pivot is None:
-            raise ValueError("singular matrix in rat_mat_inverse")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [entry * inv for entry in aug[col]]
-        for r in range(n):
-            if r == col or aug[r][col].is_zero:
-                continue
-            f = aug[r][col]
-            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    variables = matrix[0][0].variables if n and matrix[0] else ()
+    one, zero = RatFun.one(variables), RatFun.zero(variables)
+    identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    singular = "singular matrix in rat_mat_inverse"
+    return solve_square(matrix, identity, RATFUNS, "rat_mat_inverse", singular)
 
 
 def solve_fraction_system(
@@ -797,32 +824,14 @@ def solve_fraction_system(
     Returns None when the system is inconsistent; free variables are set
     to zero.  Row-reduction is plain Gaussian elimination over Fraction.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return []
     n = len(rows[0])
     aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
+    pivots = gauss_jordan(aug, n, FRACTIONS)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
     solution = [Fraction(0)] * n
-    for r, c in pivots:
-        solution[c] = aug[r][n]
+    for row, col in zip(aug, pivots):
+        solution[col] = row[n]
     return solution

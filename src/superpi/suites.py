@@ -9,14 +9,12 @@ CLI exit status can mirror the report.
 from __future__ import annotations
 
 from .atlas import (
-    Atlas,
     atlas_classification,
+    atlases_equal,
     check_berezinian_trivial,
     check_cocycle,
-    classify_atlas,
 )
 from .builders import (
-    atlases_equal,
     build_pi_grassmannian,
     build_pi_projective_closed,
     build_projective_superspace,
@@ -239,7 +237,3 @@ def suite_obstruction(n: int, degree_bound: int = 3) -> VerificationReport:
         report.add("extraction/lambda", FAIL, f"lambda = {lam}")
     report.merge(coboundary_refute(omega, degree_bound))
     return report
-
-
-def classification_report(atlas: Atlas) -> VerificationReport:
-    return classify_atlas(atlas)

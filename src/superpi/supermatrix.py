@@ -21,9 +21,13 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from .rational import Field, nonzero, solve_square
 from .superalgebra import Chart, SuperFunction
 
 Grid = tuple[tuple[SuperFunction, ...], ...]
+
+# Even superfunctions pivot on an invertible body; methods are looked up per call.
+EVEN_FUNCTIONS: Field = (nonzero, lambda f: not f.body().is_zero, lambda f: f.invert())
 
 
 class SuperMatrix:
@@ -121,23 +125,7 @@ class SuperMatrix:
             )
         if self.chart != other.chart:
             raise ValueError("supermatrix product across different charts")
-        inner = other.row_shape[0] + other.row_shape[1]
-        cols = other.col_shape[0] + other.col_shape[1]
-        rows = self.row_shape[0] + self.row_shape[1]
-        zero = SuperFunction.zero(self.chart)
-        grid = []
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                acc = zero
-                for k in range(inner):
-                    left = self.entries[i][k]
-                    right = other.entries[k][j]
-                    if left.is_zero or right.is_zero:
-                        continue
-                    acc = acc + left * right
-                row.append(acc)
-            grid.append(row)
+        grid = grid_mul(self.entries, other.entries, self.chart, sum(other.col_shape))
         return SuperMatrix(self.chart, self.row_shape, other.col_shape, grid)
 
     def to_str(self) -> str:
@@ -224,41 +212,27 @@ def even_matrix_inverse(
 ) -> list[list[SuperFunction]]:
     """Gauss-Jordan inverse of a square grid of even superfunctions."""
     n = len(rows)
-    if n == 0:
-        return []
-    chart = rows[0][0].chart
-    one = SuperFunction.one(chart)
-    zero = SuperFunction.zero(chart)
-    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if not aug[r][col].body().is_zero), None
-        )
-        if pivot_row is None:
-            raise ValueError("even matrix is not invertible (no invertible pivot)")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = aug[col][col].invert()
-        aug[col] = [entry * inv for entry in aug[col]]
-        for r in range(n):
-            if r == col or aug[r][col].is_zero:
-                continue
-            f = aug[r][col]
-            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    identity = []
+    if n and rows[0]:
+        chart = rows[0][0].chart
+        one, zero = SuperFunction.one(chart), SuperFunction.zero(chart)
+        identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    singular = "even matrix is not invertible (no invertible pivot)"
+    return solve_square(rows, identity, EVEN_FUNCTIONS, "even_matrix_inverse", singular)
 
 
 def grid_mul(
     x: Sequence[Sequence[SuperFunction]],
     y: Sequence[Sequence[SuperFunction]],
     chart: Chart,
+    cols: int = 0,
 ) -> list[list[SuperFunction]]:
-    if not x or not y:
-        return []
+    """The product x * y, skipping zero factors; cols is the width of y when y has no rows."""
     zero = SuperFunction.zero(chart)
     out = []
     for i in range(len(x)):
         row = []
-        for j in range(len(y[0])):
+        for j in range(len(y[0]) if y else cols):
             acc = zero
             for k in range(len(y)):
                 if x[i][k].is_zero or y[k][j].is_zero:
@@ -321,19 +295,3 @@ def berezinian(m: SuperMatrix) -> SuperFunction:
     a_inv = even_matrix_inverse(a)
     schur = grid_sub(d, grid_mul(grid_mul(c, a_inv, chart), b, chart))
     return even_det(a) * even_det(schur).invert()
-
-
-def berezinian_alt(m: SuperMatrix) -> SuperFunction:
-    """Alternative block formula det(A - B D^-1 C) * det(D)^-1."""
-    if not m.is_square():
-        raise ValueError("Berezinian of a non-square supermatrix")
-    p, q = m.row_shape
-    chart = m.chart
-    if q == 0:
-        return even_det(m.block_a())
-    if p == 0:
-        return even_det(m.block_d()).invert()
-    a, b, c, d = m.block_a(), m.block_b(), m.block_c(), m.block_d()
-    d_inv = even_matrix_inverse(d)
-    schur = grid_sub(a, grid_mul(grid_mul(b, d_inv, chart), c, chart))
-    return even_det(schur) * even_det(d).invert()

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from superpi.atlas import (
+    atlases_equal,
     check_berezinian_trivial,
     check_cocycle,
     compose,
@@ -17,7 +18,6 @@ from superpi.atlas import (
     super_jacobian,
 )
 from superpi.builders import (
-    atlases_equal,
     build_pi_grassmannian,
     build_pi_projective_closed,
     build_projective_superspace,

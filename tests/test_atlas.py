@@ -8,6 +8,7 @@ from superpi.atlas import (
     Atlas,
     TransitionMap,
     atlas_classification,
+    atlases_equal,
     check_berezinian_trivial,
     check_cocycle,
     classify_atlas,
@@ -15,7 +16,7 @@ from superpi.atlas import (
     identity_transition,
     jacobian_chain_product,
     super_jacobian,
-    transition_eq,
+    transition_mismatch,
 )
 from superpi.builders import (
     build_pi_projective_closed,
@@ -24,7 +25,7 @@ from superpi.builders import (
     pi_grassmannian_cells,
 )
 from superpi.report import FAIL, PASS
-from superpi.superalgebra import Chart, parse_superfunction, substitute
+from superpi.superalgebra import Chart, SuperFunction, parse_superfunction, substitute
 from superpi.supermatrix import SuperMatrix, berezinian
 
 from conftest import random_transition
@@ -36,18 +37,18 @@ class TestCompose:
         t = atlas.transition("U0", "U1")
         left = compose(t, identity_transition(atlas.chart("U0")))
         right = compose(identity_transition(atlas.chart("U1")), t)
-        assert transition_eq(left, t)
-        assert transition_eq(right, t)
+        assert transition_mismatch(left, t) == ""
+        assert transition_mismatch(right, t) == ""
 
     def test_round_trip_identity(self):
         atlas = build_pi_projective_closed(1)
         rt = compose(atlas.transition("U1", "U0"), atlas.transition("U0", "U1"))
-        assert rt.is_identity()
+        assert transition_mismatch(rt, identity_transition(rt.source)) == ""
 
     def test_triple_agreement(self):
         atlas = build_pi_projective_closed(2)
         threaded = compose(atlas.transition("U1", "U2"), atlas.transition("U0", "U1"))
-        assert transition_eq(threaded, atlas.transition("U0", "U2"))
+        assert transition_mismatch(threaded, atlas.transition("U0", "U2")) == ""
 
     def test_chart_mismatch(self):
         atlas = build_pi_projective_closed(2)
@@ -95,12 +96,72 @@ class TestCheckCocycle:
         assert all("difference" in c.witness for c in failing)
         assert any("th" in c.witness for c in failing)
 
+    def test_failure_witnesses_are_pinned(self):
+        # Round trips report image - coordinate, triples direct - threaded.
+        atlas = build_pi_projective_closed(2)
+        broken = dict(atlas.transitions)
+        t = broken[("U0", "U1")]
+        images = dict(t.images)
+        images["th21"] = -images["th21"]
+        broken[("U0", "U1")] = TransitionMap(t.source, t.target, images)
+        report = check_cocycle(Atlas(atlas.charts, broken))
+        failing = {c.identifier: c.witness for c in report.checks if c.status == FAIL}
+        assert failing == {
+            "roundtrip/U0->U1->U0": "coordinate z20: difference (2)/(z10)*[th10*th20]",
+            "roundtrip/U1->U0->U1": "coordinate th21: difference (-2)*[th21]",
+            "triple/U0,U1,U2": "coordinate z02: difference (2)/(z10*z20^2)*[th10*th20]",
+            "triple/U0,U2,U1": "coordinate th21: difference "
+            "(2*z20)/(z10^2)*[th10] + (-2)/(z10)*[th20]",
+            "triple/U2,U0,U1": "coordinate th21: difference (-2)/(z12^2)*[th12]",
+        }
+
+
+class TestTransitionMismatch:
+    def test_equal_and_unequal(self):
+        atlas = build_pi_projective_closed(1)
+        t = atlas.transition("U0", "U1")
+        assert transition_mismatch(t, t) == ""
+        images = dict(t.images)
+        images["th01"] = -images["th01"]
+        flipped = TransitionMap(t.source, t.target, images)
+        assert transition_mismatch(flipped, t) == "coordinate th01: difference (2)/(z10^2)*[th10]"
+
+    def test_different_charts(self):
+        atlas = build_pi_projective_closed(1)
+        witness = transition_mismatch(atlas.transition("U0", "U1"), atlas.transition("U1", "U0"))
+        assert witness == "charts U0->U1 vs U1->U0"
+
+
+class TestAtlasesEqual:
+    def test_same_atlas(self):
+        assert atlases_equal(build_projective_superspace(2, 1), build_projective_superspace(2, 1))
+
+    def test_missing_transitions_in_either_order(self):
+        full = build_projective_superspace(2, 1)
+        part = Atlas(
+            full.charts,
+            {key: full.transitions[key] for key in (("U0", "U1"), ("U1", "U0"))},
+        )
+        assert not atlases_equal(part, full)
+        assert not atlases_equal(full, part)
+
 
 class TestSuperJacobian:
     def test_identity_map(self):
         chart = Chart("U", ("z",), ("t",))
         jac = super_jacobian(identity_transition(chart))
         assert jac.equals(SuperMatrix.identity(chart, (1, 1)))
+
+    def test_chain_product_shapes_through_empty_charts(self):
+        point = Chart("P", (), ())
+        line = Chart("L", ("z",), ("t",))
+        to_point = super_jacobian(TransitionMap(line, point, {}))
+        from_point = SuperMatrix(line, (1, 1), (0, 0), [[], []])
+        chained = jacobian_chain_product(to_point, from_point)
+        zero = SuperFunction.zero(line)
+        assert chained.equals(SuperMatrix(line, (1, 1), (1, 1), [[zero, zero], [zero, zero]]))
+        back = jacobian_chain_product(from_point, to_point)
+        assert back.row_shape == back.col_shape == (0, 0)
 
     def test_plane_blocks(self):
         atlas = build_pi_projective_closed(2)

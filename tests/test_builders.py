@@ -5,10 +5,9 @@ from math import comb
 import pytest
 
 from superpi import builders
-from superpi.atlas import check_cocycle
+from superpi.atlas import atlases_equal, check_cocycle, identity_transition, transition_mismatch
 from superpi.builders import (
     CellOverlapError,
-    atlases_equal,
     build_pi_grassmannian,
     build_pi_projective_closed,
     build_projective_superspace,
@@ -55,7 +54,7 @@ class TestPiLine:
     def test_same_cell_gives_identity(self):
         cells = pi_grassmannian_cells(1, 2)
         t = derive_transition_from_cells(cells[0], cells[0])
-        assert t.is_identity()
+        assert transition_mismatch(t, identity_transition(t.source)) == ""
 
 
 class TestProjectiveSuperspace:

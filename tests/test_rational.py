@@ -1,5 +1,6 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,25 @@ class TestLinearAlgebra:
         with pytest.raises(ValueError, match="singular"):
             rat_solve([[const(0)]], [const(1)])
 
+    def test_rat_mat_inverse_singular(self):
+        x = var("x")
+        with pytest.raises(ValueError, match="singular"):
+            rat_mat_inverse([[x, x], [const(1), const(1)]])
+
+    def test_rat_mat_inverse_rejects_non_square(self):
+        x = var("x")
+        with pytest.raises(ValueError, match="square"):
+            rat_mat_inverse([[x, const(1)]])
+        with pytest.raises(ValueError, match="square"):
+            rat_mat_inverse([[x], [const(1)]])
+
+    def test_rat_solve_rejects_non_square(self):
+        x = var("x")
+        with pytest.raises(ValueError, match="rat_solve expects a square system"):
+            rat_solve([[x, const(1)]], [const(1)])
+        with pytest.raises(ValueError, match="rat_solve expects a square system"):
+            rat_solve([[x]], [const(1), const(2)])
+
     def test_fraction_system_consistent(self):
         rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
         sol = solve_fraction_system(rows, [Fraction(3), Fraction(1)])
@@ -266,3 +286,43 @@ class TestLinearAlgebra:
         rows = [[Fraction(1), Fraction(1)]]
         sol = solve_fraction_system(rows, [Fraction(5)])
         assert sol is not None and sol[0] + sol[1] == 5
+
+    def test_fraction_system_against_sympy_rank(self):
+        # None exactly when rank(A) < rank([A|b]); otherwise an exact solution.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(100):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            # Rows combined from a few base rows make the system rank-deficient.
+            base = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(rng.randint(1, min(m, n)))
+            ]
+            rows = [
+                [sum(rng.randint(-2, 2) * b[c] for b in base) for c in range(n)]
+                for _ in range(m)
+            ]
+            zero_column = rng.random() < 0.5
+            if zero_column:
+                col = rng.randrange(n)
+                for row in rows:
+                    row[col] = Fraction(0)
+            if rng.random() < 0.5:
+                x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+                rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+            else:
+                rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
+            matrix = sympy.Matrix(rows)
+            rank = matrix.rank()
+            consistent = rank == matrix.row_join(sympy.Matrix(rhs)).rank()
+            seen.add((consistent, rank < min(m, n), zero_column))
+            sol = solve_fraction_system(rows, rhs)
+            if not consistent:
+                assert sol is None
+                continue
+            assert sol is not None and len(sol) == n
+            assert all(sum(a * v for a, v in zip(row, sol)) == b for row, b in zip(rows, rhs))
+        both = {(True, True), (True, False), (False, True), (False, False)}
+        assert {(c, deficient) for c, deficient, _ in seen} == both
+        assert {(c, zero_column) for c, _, zero_column in seen} == both

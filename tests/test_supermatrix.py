@@ -9,9 +9,10 @@ from superpi.superalgebra import Chart, SuperFunction, parse_superfunction
 from superpi.supermatrix import (
     SuperMatrix,
     berezinian,
-    berezinian_alt,
     even_det,
     even_matrix_inverse,
+    grid_mul,
+    grid_sub,
     smat_inverse,
 )
 
@@ -41,6 +42,19 @@ def cofactor_det(rows):
             term = term * rows[i][perm[i]]
         total = total + (term if sign > 0 else -term)
     return total
+
+
+def berezinian_alt(m):
+    """Independent oracle: the other block formula det(A - B D^-1 C) * det(D)^-1."""
+    p, q = m.row_shape
+    if q == 0:
+        return even_det(m.block_a())
+    if p == 0:
+        return even_det(m.block_d()).invert()
+    a, b, c, d = m.block_a(), m.block_b(), m.block_c(), m.block_d()
+    d_inv = even_matrix_inverse(d)
+    schur = grid_sub(a, grid_mul(grid_mul(b, d_inv, m.chart), c, m.chart))
+    return even_det(schur) * even_det(d).invert()
 
 
 class TestConstruction:
@@ -81,6 +95,11 @@ class TestMul:
         b = SuperMatrix.identity(CH, (2, 1))
         with pytest.raises(ValueError, match="shape mismatch"):
             a * b
+
+    def test_empty_inner_dimension_gives_zero(self):
+        a = SuperMatrix(CH, (1, 0), (0, 0), [[]])
+        b = SuperMatrix(CH, (0, 0), (1, 1), [])
+        assert (a * b).equals(SuperMatrix(CH, (1, 0), (1, 1), [[SuperFunction.zero(CH)] * 2]))
 
 
 class TestInverse:
@@ -181,6 +200,16 @@ class TestEvenDet:
         assert prod[0][0].equals(SuperFunction.one(CH))
         assert prod[0][1].is_zero
         assert prod[1][1].equals(SuperFunction.one(CH))
+
+    def test_even_inverse_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            even_matrix_inverse([[sf("(z)"), sf("(1)")]])
+        with pytest.raises(ValueError, match="square"):
+            even_matrix_inverse([[sf("(z)")], [sf("(1)")]])
+
+    def test_even_inverse_needs_invertible_pivot(self):
+        with pytest.raises(ValueError, match="no invertible pivot"):
+            even_matrix_inverse([[sf("(1)*[s*t]")]])
 
 
 class TestBerezinian:
