@@ -29,6 +29,12 @@ normalised at construction to keep representatives small and deterministic:
     under composition;
   * the leading coefficient of den (graded-lex order) is positive.
 
+The normal form is computed once per value.  Arithmetic whose result is
+already normal returns it without normalising again: a zero operand of
++ or - gives back the other operand (negated for 0 - x), and negation
+flips the sign of num only, which keeps every rule above.  This relies
+on the normalisation being idempotent and commuting with negation.
+
 Equality of rational functions is decided by cross-multiplication,
 a.num*b.den == b.num*a.den, which is exact and never depends on which
 representative the normalisation happened to keep.
@@ -73,6 +79,11 @@ def _canonical(terms: dict) -> dict:
     if _INT_ONLY.issuperset(map(type, terms.values())):
         return terms
     return {e: exact(c) for e, c in terms.items()}
+
+
+def _grlex(exps: Exponent) -> tuple[int, Exponent]:
+    """Sort key of the graded-lex monomial order: total degree, then exponents."""
+    return sum(exps), exps
 
 
 class Poly:
@@ -154,7 +165,7 @@ class Poly:
         """Leading term under graded-lex order (requires a nonzero poly)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=lambda e: (sum(e), e))
+        exps = max(self.terms, key=_grlex)
         return exps, self.terms[exps]
 
     def homogeneous_degree(self) -> Optional[int]:
@@ -258,7 +269,7 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Exponent, Rational]]:
         """Terms in descending graded-lex order, the canonical print order."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return [(e, self.terms[e]) for e in sorted(self.terms, key=_grlex, reverse=True)]
 
     def to_str(self) -> str:
         if not self.terms:
@@ -309,6 +320,14 @@ class RatFun:
         num, den = _normalize_pair(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _raw(cls, num: Poly, den: Poly) -> RatFun:
+        # Internal fast path: (num, den) must already be in normal form.
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("RatFun is immutable")
@@ -378,17 +397,23 @@ class RatFun:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: RatFun) -> RatFun:
+        if self.num.is_zero or other.num.is_zero:
+            self.num._require_same_variables(other.num)
+            return self if other.num.is_zero else other
         if self.den == other.den:
             return RatFun(self.num + other.num, self.den)
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: RatFun) -> RatFun:
+        if self.num.is_zero or other.num.is_zero:
+            self.num._require_same_variables(other.num)
+            return self if other.num.is_zero else -other
         if self.den == other.den:
             return RatFun(self.num - other.num, self.den)
         return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> RatFun:
-        return RatFun(-self.num, self.den)
+        return RatFun._raw(-self.num, self.den)
 
     def __mul__(self, other: RatFun) -> RatFun:
         num_a, den_a = self.num, self.den
@@ -571,7 +596,7 @@ def poly_exact_div(a: Poly, b: Poly) -> Optional[Poly]:
     remainder = dict(a.terms)
     quotient: dict[Exponent, Rational] = {}
     while remainder:
-        exps = max(remainder, key=lambda e: (sum(e), e))
+        exps = max(remainder, key=_grlex)
         coeff = remainder[exps]
         q_exp = tuple(x - y for x, y in zip(exps, b_lead_exp))
         if any(e < 0 for e in q_exp):

@@ -121,6 +121,17 @@ class SuperFunction:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "components", clean)
 
+    @classmethod
+    def _raw(cls, chart: Chart, components: dict[OddMonomial, RatFun]) -> SuperFunction:
+        # Internal fast path: the monomials must already be sorted tuples and
+        # the coefficients on the chart's even coordinates; only zeros go.
+        self = object.__new__(cls)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(
+            self, "components", {m: c for m, c in components.items() if not c.is_zero}
+        )
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("SuperFunction is immutable")
 
@@ -168,7 +179,8 @@ class SuperFunction:
 
     def body(self) -> RatFun:
         """Degree-0 part, the image in the reduced structure sheaf."""
-        return self.components.get((), RatFun.zero(self.chart.even_coords))
+        body = self.components.get(())
+        return RatFun.zero(self.chart.even_coords) if body is None else body
 
     def degree_part(self, degree: int) -> SuperFunction:
         """Sum of components whose odd monomial has exactly this length."""
@@ -189,12 +201,9 @@ class SuperFunction:
 
     def equals(self, other: SuperFunction) -> bool:
         self._require_same_chart(other)
-        keys = set(self.components) | set(other.components)
-        zero = RatFun.zero(self.chart.even_coords)
-        return all(
-            self.components.get(k, zero).equals(other.components.get(k, zero))
-            for k in keys
-        )
+        # No zero component is ever stored, so equal functions share their monomials.
+        mine, theirs = self.components, other.components
+        return mine.keys() == theirs.keys() and all(c.equals(theirs[m]) for m, c in mine.items())
 
     def _require_same_chart(self, other: SuperFunction) -> None:
         if self.chart != other.chart:
@@ -207,21 +216,20 @@ class SuperFunction:
     def __add__(self, other: SuperFunction) -> SuperFunction:
         self._require_same_chart(other)
         out = dict(self.components)
-        zero = RatFun.zero(self.chart.even_coords)
         for mon, coeff in other.components.items():
-            out[mon] = out.get(mon, zero) + coeff
-        return SuperFunction(self.chart, out)
+            prev = out.get(mon)
+            out[mon] = coeff if prev is None else prev + coeff
+        return SuperFunction._raw(self.chart, out)
 
     def __sub__(self, other: SuperFunction) -> SuperFunction:
         return self + (-other)
 
     def __neg__(self) -> SuperFunction:
-        return SuperFunction(self.chart, {m: -c for m, c in self.components.items()})
+        return SuperFunction._raw(self.chart, {m: -c for m, c in self.components.items()})
 
     def __mul__(self, other: SuperFunction) -> SuperFunction:
         self._require_same_chart(other)
         out: dict[OddMonomial, RatFun] = {}
-        zero = RatFun.zero(self.chart.even_coords)
         for m1, c1 in self.components.items():
             for m2, c2 in other.components.items():
                 sign, mon = _merge_odd(m1, m2, self.chart)
@@ -230,8 +238,9 @@ class SuperFunction:
                 term = c1 * c2
                 if sign < 0:
                     term = -term
-                out[mon] = out.get(mon, zero) + term
-        return SuperFunction(self.chart, out)
+                prev = out.get(mon)
+                out[mon] = term if prev is None else prev + term
+        return SuperFunction._raw(self.chart, out)
 
     def scale(self, value) -> SuperFunction:
         return SuperFunction(
@@ -289,15 +298,13 @@ class SuperFunction:
                 {m: c.derivative(name) for m, c in self.components.items()},
             )
         out: dict[OddMonomial, RatFun] = {}
-        zero = RatFun.zero(self.chart.even_coords)
         for mon, coeff in self.components.items():
             if name not in mon:
                 continue
             p = mon.index(name)
-            rest = mon[:p] + mon[p + 1 :]
-            term = coeff if p % 2 == 0 else -coeff
-            out[rest] = out.get(rest, zero) + term
-        return SuperFunction(self.chart, out)
+            # Removing one name from distinct monomials gives distinct monomials.
+            out[mon[:p] + mon[p + 1 :]] = coeff if p % 2 == 0 else -coeff
+        return SuperFunction._raw(self.chart, out)
 
     # -- printing -------------------------------------------------------------
 

@@ -254,6 +254,9 @@ def smat_inverse(m: SuperMatrix) -> SuperMatrix:
 
     Requires the even diagonal blocks to be invertible (determinant with
     nonzero body); this is the formal counterpart of "the cells overlap".
+    With S = D - C A^-1 B, whose body is that of D because C A^-1 B has no
+    body, the inverse is [[A^-1 - TR C A^-1, TR], [-S^-1 C A^-1, S^-1]]
+    with TR = -A^-1 B S^-1; the factors keep their order.
     """
     if not m.is_square():
         raise ValueError("inverse of a non-square supermatrix")
@@ -265,17 +268,12 @@ def smat_inverse(m: SuperMatrix) -> SuperMatrix:
     if q == 0:
         return SuperMatrix(chart, m.row_shape, m.col_shape, even_matrix_inverse(a))
     a_inv = even_matrix_inverse(a)
-    d_inv = even_matrix_inverse(d)
-    schur_a = grid_sub(a, grid_mul(grid_mul(b, d_inv, chart), c, chart))
-    schur_d = grid_sub(d, grid_mul(grid_mul(c, a_inv, chart), b, chart))
-    top_left = even_matrix_inverse(schur_a)
-    bottom_right = even_matrix_inverse(schur_d)
-    top_right = grid_mul(
-        grid_mul(a_inv, b, chart), [[-e for e in row] for row in bottom_right], chart
-    )
-    bottom_left = grid_mul(
-        grid_mul(d_inv, c, chart), [[-e for e in row] for row in top_left], chart
-    )
+    c_a_inv = grid_mul(c, a_inv, chart)
+    bottom_right = even_matrix_inverse(grid_sub(d, grid_mul(c_a_inv, b, chart)))
+    minus_s_inv = [[-e for e in row] for row in bottom_right]
+    top_right = grid_mul(grid_mul(a_inv, b, chart), minus_s_inv, chart)
+    bottom_left = grid_mul(minus_s_inv, c_a_inv, chart)
+    top_left = grid_sub(a_inv, grid_mul(top_right, c_a_inv, chart))
     grid = [tl + tr for tl, tr in zip(top_left, top_right)]
     grid += [bl + br for bl, br in zip(bottom_left, bottom_right)]
     return SuperMatrix(chart, m.row_shape, m.col_shape, grid)

@@ -6,15 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import superpi.rational as rational
 from superpi.rational import (
     Poly,
     RatFun,
+    _normalize_pair,
     poly_exact_div,
     poly_gcd,
     rat_mat_inverse,
     rat_solve,
     solve_fraction_system,
 )
+
+from conftest import random_ratfun
 
 V = ("x", "y", "z")
 
@@ -230,6 +234,66 @@ class TestIntegerCore:
             x.scale(0.5)
         with pytest.raises(TypeError):
             RatFun.from_poly(x).scale(0.5)
+
+
+def _int_poly(rng, min_terms, max_terms):
+    terms = {}
+    size = rng.randint(min_terms, max_terms)
+    while len(terms) < size:
+        terms[tuple(rng.randint(0, 2) for _ in V)] = rng.choice((-3, -2, -1, 1, 2, 3, 4, 6))
+    return poly(terms)
+
+
+def planted_pairs(seed, count):
+    """(a*g, b*g) with nonzero a, b and a common factor g of two or more terms."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = _int_poly(rng, 2, 3)
+        yield _int_poly(rng, 1, 3) * g, _int_poly(rng, 1, 3) * g
+
+
+class TestNormalForm:
+    def test_idempotent_and_commutes_with_negation(self, monkeypatch):
+        gcd_calls = []
+        real_gcd = rational.poly_gcd
+
+        def counted_gcd(a, b):
+            gcd_calls.append(1)
+            return real_gcd(a, b)
+
+        monkeypatch.setattr(rational, "poly_gcd", counted_gcd)
+        for n, d in planted_pairs(5, 300):
+            num, den = _normalize_pair(n, d)
+            assert _normalize_pair(num, den) == (num, den)
+            assert _normalize_pair(-num, den) == (-num, den)
+        # The planted factors are multi-term, so the gcd step really runs.
+        assert len(gcd_calls) >= 300
+
+    def test_zero_operand_and_negation_match_the_constructor(self):
+        rng = random.Random(11)
+        values = [RatFun(n, d) for n, d in planted_pairs(6, 40)]
+        values += [random_ratfun(rng, V) for _ in range(40)]
+        zero = RatFun.zero(V)
+        for x in values:
+            full = RatFun(x.num, x.den)
+            negated = RatFun(-x.num, x.den)
+            for result, expected in [
+                (x + zero, full),
+                (zero + x, full),
+                (x - zero, full),
+                (zero - x, negated),
+                (-x, negated),
+            ]:
+                assert (result.num, result.den) == (expected.num, expected.den)
+
+    def test_zero_operand_keeps_the_variable_check(self):
+        x = RatFun.var(V, "x")
+        other_zero = RatFun.zero(("x",))
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(ValueError, match="mismatched variable sets"):
+                op(other_zero, x)
+            with pytest.raises(ValueError, match="mismatched variable sets"):
+                op(x, other_zero)
 
 
 class TestLinearAlgebra:

@@ -62,6 +62,27 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="charts differ"):
             SuperFunction.one(U0) * SuperFunction.one(U1)
 
+    def test_cancelled_terms_are_not_stored(self):
+        t1 = SuperFunction.coordinate(U0, "th10")
+        t2 = SuperFunction.coordinate(U0, "th20")
+        f = sf("(z10) + (2)/(z20)*[th10] + (1)*[th10*th20]")
+        assert (f - f).components == {}
+        assert (t1 * t2 + t2 * t1).components == {}
+        # (t1 + t2)^2 = t1 t2 + t2 t1 cancels inside one product.
+        assert ((t1 + t2) * (t1 + t2)).components == {}
+
+    def test_results_keep_sorted_monomials(self, chart24):
+        rng = random.Random(31)
+        for _ in range(60):
+            f = random_superfunction(rng, chart24, max_components=4)
+            g = random_superfunction(rng, chart24, max_components=4)
+            for result in (f + g, f - g, f * g, g * f, -f, f.derive("t2")):
+                for mon, coeff in result.components.items():
+                    positions = [chart24.odd_position(x) for x in mon]
+                    assert positions == sorted(set(positions)), mon
+                    assert coeff.variables == chart24.even_coords
+                    assert not coeff.is_zero
+
     def test_parity(self):
         assert sf("(z10)").parity == "even"
         assert sf("(1)*[th10]").parity == "odd"

@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+import superpi.supermatrix as supermatrix
 from superpi.superalgebra import Chart, SuperFunction, parse_superfunction
 from superpi.supermatrix import (
     SuperMatrix,
@@ -139,6 +140,21 @@ class TestInverse:
             inv = smat_inverse(m)
             assert (m * inv).equals(ident22)
             assert (inv * m).equals(ident22)
+
+    def test_inverts_two_even_blocks(self, monkeypatch):
+        # Only A and the Schur complement D - C A^-1 B are inverted.
+        sizes = []
+        real = supermatrix.even_matrix_inverse
+
+        def counted(rows):
+            sizes.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(supermatrix, "even_matrix_inverse", counted)
+        m = random_invertible_supermatrix(random.Random(5), CH, 2, 1)
+        inv = smat_inverse(m)
+        assert sizes == [2, 1]
+        assert (m * inv).equals(SuperMatrix.identity(CH, (2, 1)))
 
     def test_non_square_rejected(self):
         one = SuperFunction.one(CH)
