@@ -13,7 +13,6 @@ from .atlas import (
     TransitionMap,
     check_berezinian_trivial,
     check_cocycle,
-    classify_atlas,
     compose,
     super_jacobian,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "check_cech_cocycle",
     "check_cocycle",
     "check_pi_symmetric",
-    "classify_atlas",
     "coboundary_refute",
     "compose",
     "derive_transition_from_cells",

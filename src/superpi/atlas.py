@@ -289,36 +289,3 @@ def atlas_classification(atlas: Atlas) -> AtlasClassification:
         even_corrections=even_corr,
         odd_corrections=odd_corr,
     )
-
-
-def classify_atlas(atlas: Atlas) -> VerificationReport:
-    """Descriptive report of the projected/split evidence of an atlas."""
-    summary = atlas_classification(atlas)
-    report = VerificationReport("classification")
-    report.add(
-        "projected-evidence",
-        PASS,
-        "yes (even transitions close on the reduced coordinates)"
-        if summary.projected_evidence
-        else "no (nilpotent corrections in even transitions)",
-    )
-    report.add(
-        "split-evidence",
-        PASS,
-        "yes (odd transitions linear, even transitions reduced)"
-        if summary.split_evidence
-        else "no",
-    )
-    for (i, j, name), degrees in sorted(summary.even_corrections.items()):
-        report.add(
-            f"correction/even/{i}->{j}/{name}",
-            PASS,
-            f"degrees {degrees}",
-        )
-    for (i, j, name), degrees in sorted(summary.odd_corrections.items()):
-        report.add(
-            f"correction/odd/{i}->{j}/{name}",
-            PASS,
-            f"degrees {degrees}",
-        )
-    return report

@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .atlas import Atlas, TransitionMap, identity_transition
-from .rational import RatFun, exact
+from .rational import exact
 from .superalgebra import Chart, SuperFunction
 from .supermatrix import SuperMatrix, grid_mul, smat_inverse
 
@@ -542,9 +542,6 @@ def reduce_atlas(atlas: Atlas) -> Atlas:
         tgt = reduced_charts[j]
         images = {}
         for name in tgt.even_coords:
-            body = t.images[name].body()
-            images[name] = SuperFunction.from_ratfun(
-                src, RatFun(body.num, body.den)
-            )
+            images[name] = SuperFunction.from_ratfun(src, t.images[name].body())
         transitions[(i, j)] = TransitionMap(src, tgt, images)
     return Atlas(list(reduced_charts.values()), transitions)

@@ -8,6 +8,7 @@ so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .atlas import Atlas
@@ -49,7 +50,9 @@ def _add_output_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, help="write the report to a file")
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="superpi",
         description="exact verification suites for Pi-projective supergeometry",

@@ -31,7 +31,7 @@ from .atlas import Atlas, TransitionMap
 from .builders import build_projective_superspace, reduce_atlas
 from .rational import Poly, RatFun, exact, rat_mat_inverse, rat_solve, solve_fraction_system
 from .report import FAIL, PASS, VerificationReport
-from .superalgebra import Chart, SuperFunction
+from .superalgebra import Chart, Pullback, SuperFunction
 
 SectionKey = tuple[str, tuple[str, str]]  # (vector coord, (form coord a, form coord b))
 
@@ -111,7 +111,8 @@ def pullback_tensor(section: TensorSection, t: TransitionMap) -> TensorSection:
 
     Only the reduced (body) part of the transition is used.  Forms pull back
     through the Jacobian of the transition, vector fields through its
-    inverse, and coefficients by substitution; everything stays exact.
+    inverse, and coefficients through one Pullback of the bodies, whose
+    caches every coefficient shares; everything stays exact.
     """
     if section.chart.even_coords != t.target.even_coords:
         raise ValueError("section does not live on the transition's target chart")
@@ -122,10 +123,15 @@ def pullback_tensor(section: TensorSection, t: TransitionMap) -> TensorSection:
     n_rows = rat_mat_inverse(m_rows)
     m_idx = {name: i for i, name in enumerate(tgt_names)}
     src_chart = Chart(t.source.name, src_names, ())
+    tgt_chart = Chart(t.target.name, tgt_names, ())
+    pull = Pullback(
+        tgt_chart,
+        {name: SuperFunction.from_ratfun(src_chart, body) for name, body in images.items()},
+    )
     out: dict[SectionKey, RatFun] = {}
     zero = RatFun.zero(src_names)
     for (k, (a, b)), coeff in section.components.items():
-        coeff_src = coeff.substitute(images)
+        coeff_src = pull(SuperFunction.from_ratfun(tgt_chart, coeff)).body()
         ka, kb, kk = m_idx[a], m_idx[b], m_idx[k]
         for ci, cd in combinations(range(len(src_names)), 2):
             form = (
@@ -246,7 +252,7 @@ def extract_obstruction(atlas: Atlas) -> CechCochain1:
                 for mon in image.components:
                     if len(mon) not in (0, 2):
                         raise ValueError(
-                            f"even image {kappa!r} has odd-degree-{len(mon)} part; "
+                            f"even image {kappa!r} has a degree-{len(mon)} correction; "
                             "not a degree-2 correction atlas"
                         )
             for mon, coeff in image.degree_part(2).components.items():
@@ -669,11 +675,13 @@ def coboundary_solve(
             key: pullback_tensor(TensorSection(chart_i, {key: one}), t)
             for key in per_chart_keys[i_name]
         }
-        images = {name: t.images[name].body() for name in chart_i.even_coords}
+        pull = Pullback(chart_i, t.images)
         mono_images = {
-            mono: RatFun.from_poly(
-                Poly(chart_i.even_coords, {mono: Fraction(1)})
-            ).substitute(images)
+            mono: pull(
+                SuperFunction.from_ratfun(
+                    chart_i, RatFun.from_poly(Poly(chart_i.even_coords, {mono: 1}))
+                )
+            ).body()
             for mono in _monomials_up_to(len(chart_i.even_coords), degree_bound)
         }
         target = cochain.section(i_name, j_name)

@@ -450,16 +450,6 @@ class RatFun:
         dd = self.den.derivative(name)
         return RatFun(dn * self.den - self.num * dd, self.den * self.den)
 
-    def substitute(self, images: Mapping[str, RatFun]) -> RatFun:
-        """Evaluate at rational-function images of every variable.
-
-        The images must all share one variable tuple; the image of the
-        denominator must be nonzero.
-        """
-        num_img = _poly_substitute(self.num, images)
-        den_img = _poly_substitute(self.den, images)
-        return num_img / den_img
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFun):
             return NotImplemented
@@ -610,7 +600,7 @@ def poly_exact_div(a: Poly, b: Poly) -> Optional[Poly]:
                 remainder.pop(key, None)
             else:
                 remainder[key] = value
-    return Poly(variables, quotient)
+    return Poly._raw(variables, quotient)
 
 
 def _integer_primitive(p: Poly) -> Poly:
@@ -741,30 +731,6 @@ def _poly_gcd_uncached(a: Poly, b: Poly) -> Poly:
         _, r_pp = _content_pp(_integer_primitive(r), idx)
         pa, pb = pb, r_pp
     return _integer_primitive(cg * pa)
-
-
-def _poly_substitute(p: Poly, images: Mapping[str, RatFun]) -> RatFun:
-    target_vars = None
-    for img in images.values():
-        target_vars = img.variables
-        break
-    if target_vars is None:
-        raise ValueError("empty substitution")
-    result = RatFun.zero(target_vars)
-    powers: dict[str, list[RatFun]] = {}
-    for exps, coeff in p.terms.items():
-        term = RatFun.const(target_vars, coeff)
-        for v, e in zip(p.variables, exps):
-            if e == 0:
-                continue
-            if v not in images:
-                raise ValueError(f"no image for variable {v!r}")
-            cache = powers.setdefault(v, [RatFun.one(target_vars)])
-            while len(cache) <= e:
-                cache.append(cache[-1] * images[v])
-            term = term * cache[e]
-        result = result + term
-    return result
 
 
 # -- exact linear algebra ----------------------------------------------------

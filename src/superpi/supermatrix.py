@@ -10,11 +10,10 @@ exact inversion of the even blocks; the Berezinian is
 
     Ber(M) = det(A) * det(D - C A^-1 B)^-1
 
-computed with exact determinants of even matrices.  The determinant of an
-even matrix runs a fraction-free Bareiss elimination with pivoting on
-entries whose body is invertible, and falls back to cofactor expansion when
-no such pivot exists (possible only for matrices with nilpotent or zero
-determinant body, which the geometric constructions never produce).
+computed with exact determinants of even matrices.  There is one
+determinant, and it is division-free: a row expansion memoised on the set
+of columns already used, so it needs no invertible pivot and stays exact
+on every square even matrix, nilpotent or zero determinant body included.
 """
 
 from __future__ import annotations
@@ -139,72 +138,38 @@ class SuperMatrix:
         return f"SuperMatrix({p}|{q} x {r}|{s} on {self.chart.name!r})"
 
 
-class _PivotFailure(Exception):
-    pass
-
-
 def even_det(rows: Sequence[Sequence[SuperFunction]]) -> SuperFunction:
     """Exact determinant of a square grid of even superfunctions.
 
-    Bareiss-style fraction-free elimination keeps intermediate entries small;
-    pivots need an invertible body, with row swaps tracked by sign.
+    Division-free, so it holds over the whole even ring.  minors[cols] is
+    the determinant of the first popcount(cols) rows on the columns of the
+    bit set cols; putting the next row's entry in column j adds one
+    inversion per used column greater than j.  Zero entries and zero
+    minors are skipped.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square grid")
     if n == 0:
         raise ValueError("determinant of an empty grid")
-    chart = rows[0][0].chart
     for row in rows:
         for entry in row:
             if entry.parity != "even":
                 raise ValueError("even_det requires even entries")
-    if n == 1:
-        return rows[0][0]
-    try:
-        return _det_bareiss(rows, chart)
-    except _PivotFailure:
-        return _det_cofactor(rows, chart)
-
-
-def _det_bareiss(rows: Sequence[Sequence[SuperFunction]], chart: Chart) -> SuperFunction:
-    n = len(rows)
-    m = [list(row) for row in rows]
-    sign = 1
-    prev_inv = SuperFunction.one(chart)
-    for k in range(n - 1):
-        pivot_row = next(
-            (t for t in range(k, n) if not m[t][k].body().is_zero), None
-        )
-        if pivot_row is None:
-            raise _PivotFailure
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) * prev_inv
-        prev_inv = pivot.invert()
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
-def _det_cofactor(rows: Sequence[Sequence[SuperFunction]], chart: Chart) -> SuperFunction:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = SuperFunction.zero(chart)
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero:
-            continue
-        minor = [
-            [rows[i][c] for c in range(n) if c != j] for i in range(1, n)
-        ]
-        term = entry * _det_cofactor(minor, chart)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    minors = {1 << j: entry for j, entry in enumerate(rows[0]) if not entry.is_zero}
+    for row in rows[1:]:
+        extended: dict[int, SuperFunction] = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1 or entry.is_zero:
+                    continue
+                term = minor * entry
+                if (cols >> j).bit_count() % 2:
+                    term = -term
+                prev = extended.get(cols | 1 << j)
+                extended[cols | 1 << j] = term if prev is None else prev + term
+        minors = {cols: minor for cols, minor in extended.items() if not minor.is_zero}
+    return minors.get((1 << n) - 1, SuperFunction.zero(rows[0][0].chart))
 
 
 def even_matrix_inverse(

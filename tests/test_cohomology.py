@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from superpi.atlas import Atlas, TransitionMap
 from superpi.builders import build_pi_projective_closed, build_projective_superspace
 from superpi.cohomology import (
     CechCochain1,
@@ -139,6 +140,18 @@ class TestExtractObstruction:
         assert extracted.section("U0", "U1").equals(
             omega_representative(2).section("U0", "U1")
         )
+
+    def test_degree_four_correction_rejected(self):
+        atlas = build_pi_projective_closed(4)
+        t = atlas.transition("U1", "U0")
+        kappa = t.target.even_coords[0]
+        quartic = parse_superfunction(f"(1)*[{'*'.join(t.source.odd_coords)}]", t.source)
+        transitions = dict(atlas.transitions)
+        transitions[("U1", "U0")] = TransitionMap(
+            t.source, t.target, {**t.images, kappa: t.images[kappa] + quartic}
+        )
+        with pytest.raises(ValueError, match=f"even image '{kappa}' has a degree-4 correction"):
+            extract_obstruction(Atlas(atlas.charts, transitions))
 
 
 class TestLifting:

@@ -17,6 +17,7 @@ from superpi.rational import (
     rat_solve,
     solve_fraction_system,
 )
+from superpi.superalgebra import Chart, Pullback, SuperFunction
 
 from conftest import random_ratfun
 
@@ -109,10 +110,15 @@ class TestRatFun:
         assert d.equals(-(const(1) / (z * z)))
 
     def test_substitute(self):
+        # Rational functions are substituted as superfunctions on an even-only chart.
+        chart = Chart("E", V, ())
         x, y = var("x"), var("y")
-        f = x / y
-        image = f.substitute({"x": y * y, "y": y, "z": var("z")})
-        assert image.equals(y)
+        images = {"x": y * y, "y": y, "z": var("z")}
+        pull = Pullback(
+            chart, {name: SuperFunction.from_ratfun(chart, img) for name, img in images.items()}
+        )
+        image = pull(SuperFunction.from_ratfun(chart, x / y))
+        assert image.equals(SuperFunction.from_ratfun(chart, y))
 
     def test_homogeneous_degree(self):
         x, y = var("x"), var("y")

@@ -6,6 +6,8 @@ from itertools import permutations
 import pytest
 
 import superpi.supermatrix as supermatrix
+from superpi.atlas import super_jacobian
+from superpi.builders import build_pi_projective_closed
 from superpi.superalgebra import Chart, SuperFunction, parse_superfunction
 from superpi.supermatrix import (
     SuperMatrix,
@@ -193,11 +195,26 @@ class TestEvenDet:
                 assert even_det(rows).equals(cofactor_det(rows))
 
     def test_body_singular_first_pivot(self):
-        # Bareiss pivoting fails up front; the cofactor fallback must agree.
+        # No entry of the first column has an invertible body.
         zero = SuperFunction.zero(CH)
         one = SuperFunction.one(CH)
         rows = [[zero, one], [one, zero]]
         assert even_det(rows).equals(-one)
+
+    def test_nilpotent_determinant(self):
+        zero = SuperFunction.zero(CH)
+        one = SuperFunction.one(CH)
+        st = sf("(1)*[s*t]")
+        assert even_det([[st, zero], [zero, one]]).equals(st)
+        assert even_det([[st, sf("(z)*[s*t]")], [one, sf("(z)")]]).is_zero
+        assert even_det([[st, one], [one, st]]).equals(-one)
+
+    def test_pi_space_jacobian_blocks_against_oracle(self):
+        jac = super_jacobian(build_pi_projective_closed(5).transition("U1", "U0"))
+        for block in (jac.block_a(), jac.block_d()):
+            for n in (4, 5):
+                rows = [row[:n] for row in block[:n]]
+                assert even_det(rows).equals(cofactor_det(rows))
 
     def test_inverse_of_even_matrix(self):
         rng = random.Random(6)
