@@ -106,32 +106,52 @@ class TensorSection:
         return "; ".join(parts)
 
 
-def pullback_tensor(section: TensorSection, t: TransitionMap) -> TensorSection:
+class BodyPullback:
+    """The reduced (body) part of a transition, for pulling sections back.
+
+    Holds the body Jacobian of the transition, its inverse and one Pullback
+    of the bodies, built once: every section and coefficient pulled back
+    through the object shares them and the Pullback's caches.
+    """
+
+    def __init__(self, t: TransitionMap):
+        self.target = Chart(t.target.name, t.target.even_coords, ())
+        self.source = Chart(t.source.name, t.source.even_coords, ())
+        images = {name: t.images[name].body() for name in self.target.even_coords}
+        self.jacobian = [
+            [images[a].derivative(c) for c in self.source.even_coords]
+            for a in self.target.even_coords
+        ]
+        self.inverse = rat_mat_inverse(self.jacobian)
+        self.pull = Pullback(
+            self.target,
+            {name: SuperFunction.from_ratfun(self.source, body) for name, body in images.items()},
+        )
+
+    def __call__(self, coeff: RatFun) -> RatFun:
+        """A function on the target chart, rewritten in the source coordinates."""
+        return self.pull(SuperFunction.from_ratfun(self.target, coeff)).body()
+
+
+def pullback_tensor(section: TensorSection, t: TransitionMap | BodyPullback) -> TensorSection:
     """Rewrite a section on t.target in the frames and coordinates of t.source.
 
     Only the reduced (body) part of the transition is used.  Forms pull back
     through the Jacobian of the transition, vector fields through its
-    inverse, and coefficients through one Pullback of the bodies, whose
-    caches every coefficient shares; everything stays exact.
+    inverse, and coefficients through one Pullback of the bodies; pass a
+    BodyPullback to share all three between sections.  Everything stays
+    exact.
     """
-    if section.chart.even_coords != t.target.even_coords:
+    body = t if isinstance(t, BodyPullback) else BodyPullback(t)
+    if section.chart.even_coords != body.target.even_coords:
         raise ValueError("section does not live on the transition's target chart")
-    tgt_names = t.target.even_coords
-    src_names = t.source.even_coords
-    images = {name: t.images[name].body() for name in tgt_names}
-    m_rows = [[images[a].derivative(c) for c in src_names] for a in tgt_names]
-    n_rows = rat_mat_inverse(m_rows)
-    m_idx = {name: i for i, name in enumerate(tgt_names)}
-    src_chart = Chart(t.source.name, src_names, ())
-    tgt_chart = Chart(t.target.name, tgt_names, ())
-    pull = Pullback(
-        tgt_chart,
-        {name: SuperFunction.from_ratfun(src_chart, body) for name, body in images.items()},
-    )
+    src_names = body.source.even_coords
+    m_rows, n_rows = body.jacobian, body.inverse
+    m_idx = {name: i for i, name in enumerate(body.target.even_coords)}
     out: dict[SectionKey, RatFun] = {}
     zero = RatFun.zero(src_names)
     for (k, (a, b)), coeff in section.components.items():
-        coeff_src = pull(SuperFunction.from_ratfun(tgt_chart, coeff)).body()
+        coeff_src = body(coeff)
         ka, kb, kk = m_idx[a], m_idx[b], m_idx[k]
         for ci, cd in combinations(range(len(src_names)), 2):
             form = (
@@ -145,7 +165,7 @@ def pullback_tensor(section: TensorSection, t: TransitionMap) -> TensorSection:
                     continue
                 key = (q, (src_names[ci], src_names[cd]))
                 out[key] = out.get(key, zero) + coeff_src * form * frame
-    return TensorSection(src_chart, out)
+    return TensorSection(body.source, out)
 
 
 @dataclass(frozen=True)
@@ -671,17 +691,13 @@ def coboundary_solve(
         chart_j = atlas.chart(j_name)
         t = atlas.transition(j_name, i_name)
         one = RatFun.one(chart_i.even_coords)
+        body = BodyPullback(t)
         unit_pullbacks = {
-            key: pullback_tensor(TensorSection(chart_i, {key: one}), t)
+            key: pullback_tensor(TensorSection(chart_i, {key: one}), body)
             for key in per_chart_keys[i_name]
         }
-        pull = Pullback(chart_i, t.images)
         mono_images = {
-            mono: pull(
-                SuperFunction.from_ratfun(
-                    chart_i, RatFun.from_poly(Poly(chart_i.even_coords, {mono: 1}))
-                )
-            ).body()
+            mono: body(RatFun.from_poly(Poly(chart_i.even_coords, {mono: 1})))
             for mono in _monomials_up_to(len(chart_i.even_coords), degree_bound)
         }
         target = cochain.section(i_name, j_name)

@@ -29,6 +29,12 @@ normalised at construction to keep representatives small and deterministic:
     under composition;
   * the leading coefficient of den (graded-lex order) is positive.
 
+Each common factor is cancelled once.  A gcd with a single-term argument
+is a monomial, read off the exponents without any remainder sequence.
+Every other gcd is verified by dividing both arguments, and those two
+quotients are cached with it; the cancellation takes them from the cache
+instead of dividing again, and a repeated pair costs one lookup.
+
 The normal form is computed once per value.  Arithmetic whose result is
 already normal returns it without normalising again: a zero operand of
 + or - gives back the other operand (negated for 0 - x), and negation
@@ -40,12 +46,15 @@ a.num*b.den == b.num*a.den, which is exact and never depends on which
 representative the normalisation happened to keep.
 
 All values are immutable after construction and all operations are pure,
-so everything here can be shared freely across threads.
+so everything here can be shared freely across threads.  The gcd cache is
+the only shared state; it holds verified results only, so a lookup can
+miss but never mislead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -468,19 +477,21 @@ class RatFun:
 
 
 def _cross_cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Divide out a common polynomial factor before multiplying fractions.
+    """a and b with their common polynomial factor divided out.
 
-    Keeps products of reduced fractions reduced instead of re-reducing the
-    larger result; monomial-only pairs are left to the cheaper stripping in
-    the constructor.
+    Used on the parts of a quotient before multiplying fractions, which
+    keeps products of reduced fractions reduced instead of re-reducing the
+    larger result, and by the constructor's final cancellation step.  A
+    nontrivial factor needs both parts multi-term (monomial factors are left
+    to the cheaper stripping in the constructor), and skipping a reduction
+    is always sound, so coprime pairs are filtered out first by evaluation
+    at fixed points.  The quotients are the cofactors that poly_gcd cached
+    when it verified its result, so no division runs twice.
     """
     if len(a.terms) > 1 and len(b.terms) > 1 and not _probably_coprime(a, b):
         g = poly_gcd(a, b)
         if g.is_constant() is None:
-            qa = poly_exact_div(a, g)
-            qb = poly_exact_div(b, g)
-            if qa is not None and qb is not None:
-                return qa, qb
+            return _cofactors(a, b, g)
     return a, b
 
 
@@ -493,22 +504,13 @@ def _normalize_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     # Strip a monomial factor common to every term of both polynomials.
     shift = tuple(map(min, zip(*num.terms, *den.terms)))
     if any(shift):
-        num = Poly._raw(num.variables, {_shift(e, shift): c for e, c in num.terms.items()})
-        den = Poly._raw(den.variables, {_shift(e, shift): c for e, c in den.terms.items()})
+        num = _shift_poly(num, shift)
+        den = _shift_poly(den, shift)
 
-    # Cancel a common polynomial factor.  Content and monomial stripping are
-    # already done, so a nontrivial factor needs both parts multi-term; that
-    # is exactly where unreduced growth compounds (binomial denominators of
-    # Grassmannian overlaps), so the gcd pays for itself.  Skipping the
-    # reduction is always sound, so coprime pairs are filtered out first by
-    # evaluation at fixed points.
-    if len(num.terms) > 1 and len(den.terms) > 1 and not _probably_coprime(num, den):
-        g = poly_gcd(num, den)
-        if g.is_constant() is None:
-            num_q = poly_exact_div(num, g)
-            den_q = poly_exact_div(den, g)
-            if num_q is not None and den_q is not None:
-                num, den = num_q, den_q
+    # Cancel a common polynomial factor: this is where unreduced growth
+    # compounds (binomial denominators of Grassmannian overlaps), so the gcd
+    # pays for itself.
+    num, den = _cross_cancel(num, den)
 
     # Positive leading coefficient for the denominator.
     _, lead = den.leading()
@@ -538,12 +540,32 @@ def _shift(exps: Exponent, shift: Exponent) -> Exponent:
     return tuple(e - s for e, s in zip(exps, shift))
 
 
+def _shift_poly(p: Poly, shift: Exponent) -> Poly:
+    """p / x^shift, for a monomial x^shift that divides every term of p."""
+    return Poly._raw(p.variables, {_shift(e, shift): c for e, c in p.terms.items()})
+
+
 # -- exact multivariate gcd (primitive subresultant remainder sequences) -----
 
+# A common factor f divides the values of both polynomials at any integer
+# point, so a value gcd of at most _PROBE_BOUND rules out every f with
+# |f(point)| > _PROBE_BOUND.  The coordinates of each point are distinct
+# primes about 2 * _PROBE_BOUND apart, so no difference x_i - x_j is that
+# small; points for more variables are padded in steps of 2 * _PROBE_BOUND.
+_PROBE_BOUND = 1000
 _PROBE_POINTS = (
-    (1009, 2003, 3001, 4001, 5003, 6007, 7001, 8009, 9001, 10007),
-    (7507, 1511, 9203, 2503, 8101, 3511, 10501, 4507, 6101, 5501),
+    (1009, 3001, 5003, 7001, 9001, 11003, 13001, 15013, 17011, 19001),
+    (15017, 3011, 19013, 5009, 17021, 7013, 1013, 9007, 13003, 11027),
 )
+
+
+@cache
+def _probe_points(nvars: int) -> tuple[tuple[int, ...], ...]:
+    step = 2 * _PROBE_BOUND
+    return tuple(
+        point[:nvars] + tuple(max(point) + step * k for k in range(1, nvars - len(point) + 1))
+        for point in _PROBE_POINTS
+    )
 
 
 def _eval_int(p: Poly, point: tuple[int, ...]) -> Rational:
@@ -560,17 +582,15 @@ def _eval_int(p: Poly, point: tuple[int, ...]) -> Rational:
 def _probably_coprime(a: Poly, b: Poly) -> bool:
     """Cheap one-sided coprimality filter.
 
-    A common factor divides both evaluations at any integer point, so two
-    independent points with tiny numerator gcd certify that running the
-    full remainder sequence would be wasted work.  A False answer only
-    means "worth trying"; skipping a real factor merely costs size.
+    Two independent points with a small nonzero value gcd certify that
+    running the full remainder sequence would be wasted work.  A value gcd
+    of 0 (both polynomials vanish) says nothing.  A False answer only means
+    "worth trying"; skipping a real factor merely costs size.
     """
-    nvars = len(a.variables)
-    for point in _PROBE_POINTS:
-        pt = point[:nvars] if nvars <= len(point) else point + (9973,) * (nvars - len(point))
-        va = _eval_int(a, pt)
-        vb = _eval_int(b, pt)
-        if gcd(va.numerator, vb.numerator) <= 1000:
+    for point in _probe_points(len(a.variables)):
+        va = _eval_int(a, point)
+        vb = _eval_int(b, point)
+        if 0 < gcd(va.numerator, vb.numerator) <= _PROBE_BOUND:
             return True
     return False
 
@@ -661,53 +681,74 @@ def _content_pp(p: Poly, idx: int) -> tuple[Poly, Poly]:
         if not coeff.is_zero:
             content = poly_gcd(content, coeff)
             if content.is_constant() is not None:
-                content = Poly.const(p.variables, 1)
-                break
-    if content.is_constant() == 1:
-        return content, p
-    pp = poly_exact_div(p, content)
-    if pp is None:
-        # The evaluation filter inside poly_gcd may under-estimate a
-        # coefficient gcd; treating the content as trivial is always sound.
-        return Poly.const(p.variables, 1), p
-    return content, pp
+                return Poly.const(p.variables, 1), p
+    if len(content.terms) == 1:
+        # An integer-primitive monomial is x^m: divide by shifting exponents.
+        return content, _shift_poly(p, next(iter(content.terms)))
+    # Every gcd in the chain divides its inputs, so this division is exact.
+    return content, poly_exact_div(p, content)
 
 
-_GCD_CACHE: dict[tuple, Poly] = {}
+# (a, b) -> (g, a/g, b/g) for every remainder-sequence gcd that was verified
+# to divide both inputs.  When full, the cache starts over.
+_GCD_CACHE: dict[tuple[Poly, Poly], tuple[Poly, Poly, Poly]] = {}
 _GCD_CACHE_LIMIT = 1 << 16
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Greatest common divisor over Q, integer-primitive with positive lead.
 
-    Recursive primitive remainder sequences: the first active variable is
-    made the main one, contents are split off and combined recursively.
+    A zero argument gives the other one made primitive.  When either
+    argument is a single term, the gcd is x^m, with m the componentwise
+    minimum exponent over the terms of both, and it is returned at once.
+    Otherwise recursive primitive remainder sequences run: the first active
+    variable is made the main one, contents are split off and combined
+    recursively.  Their result is kept only if it divides both arguments,
+    and the two quotients of that check are cached with it: a repeated pair
+    costs one lookup, and _cofactors reads a/g and b/g without dividing.
     Used only to keep rational-function representatives small; equality
     never depends on it.
     """
     a._require_same_variables(b)
-    a = _integer_primitive(a)
-    b = _integer_primitive(b)
     if a.is_zero:
-        return b
+        return _integer_primitive(b)
     if b.is_zero:
-        return a
-    if a.is_constant() is not None or b.is_constant() is not None:
-        return Poly.const(a.variables, 1)
-    key = (a, b) if (len(a.terms), hash(a)) <= (len(b.terms), hash(b)) else (b, a)
-    cached = _GCD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _poly_gcd_uncached(a, b)
-    if result.is_constant() is None and (
-        poly_exact_div(a, result) is None or poly_exact_div(b, result) is None
-    ):
+        return _integer_primitive(a)
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        exps = tuple(map(min, zip(*a.terms, *b.terms)))
+        return Poly._raw(a.variables, {exps: 1})
+    entry = _GCD_CACHE.get((a, b))
+    if entry is not None:
+        return entry[0]
+    g = _poly_gcd_uncached(_integer_primitive(a), _integer_primitive(b))
+    entry = (g, a, b) if g.is_constant() is not None else _verified(a, b, g)
+    if entry is None:
         # Spurious content can survive the heuristically stripped remainder
         # sequence; a non-divisor "gcd" is discarded rather than propagated.
-        result = Poly.const(a.variables, 1)
-    if len(_GCD_CACHE) < _GCD_CACHE_LIMIT:
-        _GCD_CACHE[key] = result
-    return result
+        return Poly.const(a.variables, 1)
+    if len(_GCD_CACHE) >= _GCD_CACHE_LIMIT:
+        _GCD_CACHE.clear()
+    _GCD_CACHE[(a, b)] = entry
+    return g
+
+
+def _verified(a: Poly, b: Poly, g: Poly) -> Optional[tuple[Poly, Poly, Poly]]:
+    """(g, a/g, b/g) when g divides both a and b, else None."""
+    qa = poly_exact_div(a, g)
+    qb = None if qa is None else poly_exact_div(b, g)
+    return None if qb is None else (g, qa, qb)
+
+
+def _cofactors(a: Poly, b: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """(a/g, b/g) for g = poly_gcd(a, b): the cached verifying quotients.
+
+    The two divisions run again only if the pair is not cached with this
+    g, and a g that does not divide both leaves (a, b) unchanged.
+    """
+    entry = _GCD_CACHE.get((a, b))
+    if entry is None or entry[0] is not g:
+        entry = _verified(a, b, g) or (g, a, b)
+    return entry[1], entry[2]
 
 
 def _poly_gcd_uncached(a: Poly, b: Poly) -> Poly:

@@ -7,7 +7,9 @@ import pytest
 
 from superpi.atlas import Atlas, TransitionMap
 from superpi.builders import build_pi_projective_closed, build_projective_superspace
+import superpi.cohomology as cohomology
 from superpi.cohomology import (
+    BodyPullback,
     CechCochain1,
     HomogeneousSection,
     TensorSection,
@@ -80,6 +82,16 @@ class TestPullback:
         section = TensorSection(self.u1, {})
         with pytest.raises(ValueError, match="target"):
             pullback_tensor(section, self.t10)
+        with pytest.raises(ValueError, match="target"):
+            pullback_tensor(section, BodyPullback(self.t10))
+
+    def test_shared_body_matches_transition(self):
+        # One BodyPullback reused across sections, against a fresh one per call.
+        body = BodyPullback(self.t10)
+        names = self.u0.even_coords
+        for k in names:
+            section = TensorSection(self.u0, {(k, names): rf("(z10 + 2)/(z20)", self.u0)})
+            assert pullback_tensor(section, body).equals(pullback_tensor(section, self.t10))
 
 
 class TestOmegaRepresentative:
@@ -203,6 +215,16 @@ class TestCoboundary:
         solution = coboundary_solve(zero, 1)
         assert solution is not None
         assert all(s.is_zero for s in solution.values())
+
+    def test_one_body_inverse_per_pair(self, monkeypatch):
+        inversions = []
+        real = cohomology.rat_mat_inverse
+        monkeypatch.setattr(
+            cohomology, "rat_mat_inverse", lambda m: inversions.append(1) or real(m)
+        )
+        omega = omega_representative(3)
+        assert coboundary_solve(omega, 1) is None
+        assert len(inversions) == len(omega.pair_names()) == 6
 
     def test_round_trip_recovery(self):
         rng = random.Random(17)

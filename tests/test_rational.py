@@ -153,6 +153,18 @@ class TestGcd:
         x, y = Poly.var(V, "x"), Poly.var(V, "y")
         assert poly_gcd(x + Poly.const(V, 1), y + Poly.const(V, 2)).is_constant() == 1
 
+    def test_monomial_short_cut(self):
+        x, y, z = (Poly.var(V, n) for n in V)
+        assert poly_gcd(x * x * y.scale(6), x * y * z + x * x * y * y) == x * y
+        assert poly_gcd(z.scale(4), x + y) == Poly.const(V, 1)
+
+    def test_content_and_primitive_part(self):
+        x, y = Poly.var(V, "x"), Poly.var(V, "y")
+        one = Poly.const(V, 1)
+        pp = x * x + x * y + one
+        for content in (y * y, y + one):
+            assert rational._content_pp(content * pp, 0) == (content, pp)
+
 
 @st.composite
 def small_polys(draw):
@@ -300,6 +312,113 @@ class TestNormalForm:
                 op(other_zero, x)
             with pytest.raises(ValueError, match="mismatched variable sets"):
                 op(x, other_zero)
+
+
+def difference_pairs(seed, count):
+    """Pairs with a planted common factor that always includes some x_i - x_j."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        i, j = rng.sample(range(len(V)), 2)
+        g = Poly.var(V, V[i]) - Poly.var(V, V[j])
+        if rng.random() < 0.5:
+            g = g * _int_poly(rng, 1, 2)
+        yield _int_poly(rng, 1, 3) * g, _int_poly(rng, 1, 3) * g
+
+
+class TestCoprimeProbe:
+    def test_difference_of_first_two_variables(self):
+        W = ("x0", "x1", "x2")
+        x0, x1 = Poly.var(W, "x0"), Poly.var(W, "x1")
+        a = (x0 - x1) * (x0 + Poly.const(W, 2))
+        b = (x0 - x1) * (x1 + Poly.const(W, 3))
+        assert poly_gcd(a, b) == x0 - x1
+        reduced = RatFun(a, b)
+        assert (reduced.num, reduced.den) == (x0 + Poly.const(W, 2), x1 + Poly.const(W, 3))
+
+    def test_difference_of_padded_variables(self):
+        W = tuple(f"x{i}" for i in range(12))
+        x10, x11 = Poly.var(W, "x10"), Poly.var(W, "x11")
+        a = (x10 - x11) * (x10 + Poly.const(W, 2))
+        b = (x10 - x11) * (x11 + Poly.const(W, 3))
+        assert poly_gcd(a, b) == x10 - x11
+        reduced = RatFun(a, b)
+        assert (reduced.num, reduced.den) == (x10 + Poly.const(W, 2), x11 + Poly.const(W, 3))
+
+    def test_points_separate_every_coordinate_pair(self):
+        for nvars in (1, 3, 10, 11, 24):
+            for point in rational._probe_points(nvars):
+                assert len(point) == nvars
+                gaps = [abs(p - q) for k, p in enumerate(point) for q in point[k + 1 :]]
+                assert all(gap > rational._PROBE_BOUND for gap in gaps)
+
+    def test_common_zero_is_inconclusive(self):
+        # Both polynomials vanish at the first point; only the second decides.
+        x, y = Poly.var(V, "x"), Poly.var(V, "y")
+        f = x - Poly.const(V, rational._PROBE_POINTS[0][0])
+        a, b = f * (y + Poly.const(V, 1)), f * (y + Poly.const(V, 2))
+        assert not rational._probably_coprime(a, b)
+        assert poly_gcd(a, b) == f
+
+
+class TestGcdCache:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(rational, "_GCD_CACHE", {})
+
+    def test_non_divisor_is_neither_returned_nor_cached(self, monkeypatch):
+        x, y = Poly.var(V, "x"), Poly.var(V, "y")
+        monkeypatch.setattr(rational, "_poly_gcd_uncached", lambda a, b: y + Poly.const(V, 7))
+        a, b = (x + y) * (x - y), (x + y) * (x + Poly.const(V, 1))
+        assert poly_gcd(a, b).is_constant() == 1
+        assert rational._GCD_CACHE == {}
+        assert RatFun(a, b).den == b
+
+    def test_hit_matches_miss(self, monkeypatch):
+        runs = []
+        real = rational._poly_gcd_uncached
+        monkeypatch.setattr(rational, "_poly_gcd_uncached", lambda a, b: runs.append(1) or real(a, b))
+        for a, b in difference_pairs(3, 20):
+            g = poly_gcd(a, b)
+            miss = (g, *rational._cofactors(a, b, g))
+            # Equal but separately built inputs hit the same entry.
+            runs_before = len(runs)
+            a2, b2 = poly(dict(a.terms)), poly(dict(b.terms))
+            g2 = poly_gcd(a2, b2)
+            assert (g2, *rational._cofactors(a2, b2, g2)) == miss
+            assert len(runs) == runs_before
+        assert runs
+
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(rational, "_GCD_CACHE_LIMIT", 3)
+        for a, b in difference_pairs(4, 30):
+            poly_gcd(a, b)
+            assert len(rational._GCD_CACHE) <= 3
+        assert rational._GCD_CACHE
+
+
+class TestSympyOracle:
+    """poly_gcd, the cofactors and the normal form against sympy."""
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        gens = sympy.symbols(V)
+
+        def to_sympy(p):
+            return sympy.Poly.from_dict(dict(p.terms) or {(0,) * len(V): 0}, gens)
+
+        def from_sympy(p):
+            return poly({e: int(c) for e, c in p.as_dict().items()})
+
+        pairs = list(difference_pairs(21, 60)) + list(planted_pairs(22, 40))
+        for a, b in pairs:
+            g = poly_gcd(a, b)
+            assert g == rational._integer_primitive(from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))))
+            qa, qb = rational._cofactors(a, b, g)
+            assert (qa * g, qb * g) == (a, b)
+            num, den = _normalize_pair(a, b)
+            p, q = (from_sympy(part) for part in to_sympy(a).cancel(to_sympy(b), include=True))
+            unit = Fraction(den.leading()[1]) / q.leading()[1]
+            assert (num, den) == (p.scale(unit), q.scale(unit))
 
 
 class TestLinearAlgebra:
