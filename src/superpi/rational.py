@@ -424,7 +424,20 @@ class RatFun:
     def __neg__(self) -> RatFun:
         return RatFun._raw(-self.num, self.den)
 
+    def _unit_sign(self) -> int:
+        """1 or -1 when this is the constant 1 or -1, else 0."""
+        if self.den.is_constant() != 1:
+            return 0
+        value = self.num.is_constant()
+        return value if value in (1, -1) else 0
+
     def __mul__(self, other: RatFun) -> RatFun:
+        # A factor of 1 or -1 leaves the other factor's normal form intact.
+        for unit, value in ((self, other), (other, self)):
+            sign = unit._unit_sign()
+            if sign:
+                self.num._require_same_variables(other.num)
+                return value if sign > 0 else -value
         num_a, den_a = self.num, self.den
         num_b, den_b = other.num, other.den
         num_a, den_b = _cross_cancel(num_a, den_b)

@@ -335,10 +335,13 @@ class Pullback:
     chart.  Odd monomials map to the ordered product of the images.
 
     The assignment is checked once, when the pullback is built.  The powers
-    of the images, the images of numerator and denominator polynomials and
-    the inverted denominator images are cached on the object, so every
-    function pulled back through it shares them; drop the object to drop
-    the caches.
+    of the images, the images of numerator and denominator polynomials, the
+    inverted denominator images and the images of odd monomials are cached
+    on the object, so every function pulled back through it shares them;
+    drop the object to drop the caches.  An odd monomial's image is the
+    cached image of its prefix times the image of its last name, so each
+    distinct monomial costs one product and each component of a pulled-back
+    function one more.
     """
 
     def __init__(self, source: Chart, assignment: Mapping[str, SuperFunction]):
@@ -365,6 +368,7 @@ class Pullback:
         self._powers: dict[str, list[SuperFunction]] = {}
         self._poly_images: dict[Poly, SuperFunction] = {}
         self._inverses: dict[Poly, SuperFunction] = {}
+        self._odd_images: dict[OddMonomial, SuperFunction] = {}
 
     def _image(self, name: str) -> SuperFunction:
         try:
@@ -399,6 +403,16 @@ class Pullback:
             cached = self._inverses[p] = self._poly_image(p).invert()
         return cached
 
+    def _odd_image(self, mon: OddMonomial) -> SuperFunction:
+        # A zero image is a real value here, so a miss is only ever None.
+        cached = self._odd_images.get(mon)
+        if cached is None:
+            cached = self._image(mon[-1])
+            if len(mon) > 1:
+                cached = self._odd_image(mon[:-1]) * cached
+            self._odd_images[mon] = cached
+        return cached
+
     def __call__(self, f: SuperFunction) -> SuperFunction:
         if f.chart != self.source:
             raise ValueError(
@@ -408,8 +422,8 @@ class Pullback:
         total = SuperFunction.zero(self.target)
         for mon, coeff in f.components.items():
             term = self._poly_image(coeff.num) * self._den_inverse(coeff.den)
-            for name in mon:
-                term = term * self._image(name)
+            if mon:
+                term = term * self._odd_image(mon)
             total = total + term
         return total
 

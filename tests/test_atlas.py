@@ -1,9 +1,11 @@
 """Transitions, cocycle verification, super Jacobians, atlas classification."""
 
 import random
+from itertools import combinations, permutations
 
 import pytest
 
+import superpi.atlas as atlas_module
 from superpi.atlas import (
     Atlas,
     TransitionMap,
@@ -24,7 +26,7 @@ from superpi.builders import (
     pi_grassmannian_cells,
 )
 from superpi.report import FAIL
-from superpi.superalgebra import Chart, SuperFunction, parse_superfunction, substitute
+from superpi.superalgebra import Chart, Pullback, SuperFunction, parse_superfunction, substitute
 from superpi.supermatrix import SuperMatrix, berezinian
 
 from conftest import random_transition
@@ -113,6 +115,51 @@ class TestCheckCocycle:
             "(2*z20)/(z10^2)*[th10] + (-2)/(z10)*[th20]",
             "triple/U2,U0,U1": "coordinate th21: difference (-2)/(z12^2)*[th12]",
         }
+
+
+class TestCocycleSharing:
+    """check_cocycle builds one Pullback per first leg and composes through it."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        counts = {"Pullback": 0, "compose": 0}
+        for name in counts:
+            real = getattr(atlas_module, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(atlas_module, name, counted)
+        return counts
+
+    @staticmethod
+    def ids_in_check_order(names):
+        ids = [f"roundtrip/{i}->{j}->{i}" for i in names for j in names if i != j]
+        for combo in combinations(names, 3):
+            orderings = permutations(combo) if len(names) <= 4 else [combo, combo[::-1]]
+            ids += [f"triple/{i},{j},{k}" for i, j, k in orderings]
+        return ids
+
+    @pytest.mark.parametrize("n, pullbacks, compositions", [(2, 6, 12), (4, 20, 40)])
+    def test_one_pullback_per_first_leg(self, monkeypatch, n, pullbacks, compositions):
+        atlas = build_pi_projective_closed(n)
+        counts = self.count_calls(monkeypatch)
+        report = check_cocycle(atlas)
+        assert counts == {"Pullback": pullbacks, "compose": compositions}
+        assert report.all_passed
+        assert [c.identifier for c in report.checks] == self.ids_in_check_order(
+            atlas.chart_names()
+        )
+
+    def test_compose_refuses_a_pullback_of_another_transition(self):
+        atlas = build_pi_projective_closed(2)
+        t1, other = atlas.transition("U0", "U1"), atlas.transition("U2", "U1")
+        t2 = atlas.transition("U1", "U2")
+        with pytest.raises(ValueError, match="not built from the images of t1"):
+            compose(t2, t1, Pullback(other.target, other.images))
+        shared = compose(t2, t1, Pullback(t1.target, t1.images))
+        assert transition_mismatch(shared, compose(t2, t1)) == ""
 
 
 class TestTransitionMismatch:

@@ -1,10 +1,11 @@
 """Golden behaviour corpus: CLI output must stay identical down to the byte.
 
 `tests/golden/` holds the text and JSON report of every desk-scale
-`superpi verify` call below, plus one G_Pi(2, 4) transition dump.  The test
-regenerates all of them in fresh interpreters under two PYTHONHASHSEED
-values and compares byte for byte, so a refactor that changes any
-representative, verdict or ordering shows up here.
+`superpi verify` call below, plus one G_Pi(2, 4) transition dump and two
+`dump atlas` outputs.  The test regenerates all of them in fresh
+interpreters under two PYTHONHASHSEED values and compares byte for byte, so
+a refactor that changes any representative, verdict or ordering shows up
+here.
 
 Regenerate the corpus (only for an intended output change) with
 
@@ -41,6 +42,8 @@ CALLS = (
     *(argv + fmt for argv in _VERIFY for fmt in ((), ("--format", "json"))),
     ("verify", "pi-grassmannian-24", "--format", "json"),
     ("dump", "transitions", "--family", "pi-grassmannian-24", "--source", "U1", "--target", "U2"),
+    ("dump", "atlas", "--family", "pi-projective", "--n", "3"),
+    ("dump", "atlas", "--family", "grassmannian", "--d0", "1", "--d1", "1", "--vn", "2", "--vm", "2"),
 )
 
 

@@ -313,6 +313,30 @@ class TestNormalForm:
             with pytest.raises(ValueError, match="mismatched variable sets"):
                 op(x, other_zero)
 
+    def test_unit_factor_matches_the_constructor(self):
+        rng = random.Random(13)
+        values = [RatFun(n, d) for n, d in planted_pairs(7, 40)]
+        values += [random_ratfun(rng, V) for _ in range(40)] + [const(2), const(-1)]
+        one, minus_one = const(1), const(-1)
+        for x in values:
+            full = RatFun(x.num, x.den)
+            negated = RatFun(-x.num, x.den)
+            for result, expected in [
+                (one * x, full),
+                (x * one, full),
+                (minus_one * x, negated),
+                (x * minus_one, negated),
+            ]:
+                assert (result.num, result.den) == (expected.num, expected.den)
+
+    def test_unit_factor_keeps_the_variable_check(self):
+        x = RatFun.var(V, "x")
+        for unit in (RatFun.one(("x",)), RatFun.const(("x",), -1)):
+            with pytest.raises(ValueError, match="mismatched variable sets"):
+                unit * x
+            with pytest.raises(ValueError, match="mismatched variable sets"):
+                x * unit
+
 
 def difference_pairs(seed, count):
     """Pairs with a planted common factor that always includes some x_i - x_j."""

@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superpi.builders import derive_transition_from_cells, pi_grassmannian_cells
+from superpi.rational import RatFun
 from superpi.superalgebra import (
     Chart,
     Pullback,
@@ -13,7 +15,7 @@ from superpi.superalgebra import (
     substitute,
 )
 
-from conftest import random_superfunction
+from conftest import random_superfunction, random_transition
 
 U0 = Chart("U0", ("z10", "z20"), ("th10", "th20"))
 U1 = Chart("U1", ("z01", "z21"), ("th01", "th21"))
@@ -260,6 +262,78 @@ class TestSubstitute:
     def test_pullback_refuses_other_chart(self):
         with pytest.raises(ValueError, match="applied to a function on 'U0'"):
             Pullback(U1, self.transition_images())(SuperFunction.coordinate(U0, "z10"))
+
+
+def pull_back_one_name_at_a_time(assignment, f):
+    """f pulled back with one product per odd name: the reference for the odd-image cache."""
+    total = None
+    for mon, coeff in f.components.items():
+        term = substitute(SuperFunction.from_ratfun(f.chart, coeff), assignment)
+        for name in mon:
+            term = term * assignment[name]
+        total = term if total is None else total + term
+    return total
+
+
+def same_representation(a, b):
+    mine, theirs = a.components, b.components
+    return mine.keys() == theirs.keys() and all(
+        (c.num, c.den) == (theirs[m].num, theirs[m].den) for m, c in mine.items()
+    )
+
+
+class TestOddImageCache:
+    def test_matches_reference_on_random_2_4_functions(self, chart24):
+        rng = random.Random(41)
+        for _ in range(6):
+            pull_back = Pullback(chart24, random_transition(rng, chart24, chart24).images)
+            for _ in range(8):
+                f = random_superfunction(rng, chart24, max_components=5)
+                if f.is_zero:
+                    continue
+                expected = pull_back_one_name_at_a_time(pull_back.assignment, f)
+                assert same_representation(pull_back(f), expected)
+
+    def test_matches_reference_on_pi_grassmannian_24(self):
+        u1, u2, u3 = pi_grassmannian_cells(2, 4)[:3]
+        t12 = derive_transition_from_cells(u1, u2)
+        pull_back = Pullback(t12.target, t12.images)
+        for t in (derive_transition_from_cells(u2, u1), derive_transition_from_cells(u2, u3)):
+            for img in t.images.values():
+                expected = pull_back_one_name_at_a_time(t12.images, img)
+                assert same_representation(pull_back(img), expected)
+
+    def test_cache_holds_the_distinct_nonempty_prefixes(self, chart24):
+        rng = random.Random(43)
+        pull_back = Pullback(chart24, random_transition(rng, chart24, chart24).images)
+        functions = [random_superfunction(rng, chart24, max_components=5) for _ in range(12)]
+        for f in functions:
+            pull_back(f)
+        prefixes = {
+            mon[:k] for f in functions for mon in f.components for k in range(1, len(mon) + 1)
+        }
+        assert prefixes
+        assert set(pull_back._odd_images) == prefixes
+
+    def test_zero_odd_image_is_cached_as_zero(self, chart24):
+        rng = random.Random(47)
+        images = dict(random_transition(rng, chart24, chart24).images)
+        images["t2"] = SuperFunction.zero(chart24)
+        pull_back = Pullback(chart24, images)
+        one = RatFun.one(chart24.even_coords)
+        odd = chart24.odd_coords
+        monomials = [
+            tuple(n for k, n in enumerate(odd) if mask >> k & 1) for mask in range(1, 16)
+        ]
+        for mon in monomials:
+            image = pull_back(SuperFunction(chart24, {mon: one}))
+            assert image.is_zero == ("t2" in mon)
+        zeros = {m: v for m, v in pull_back._odd_images.items() if "t2" in m}
+        assert zeros and all(v.is_zero for v in zeros.values())
+        # A second pass finds every zero in the cache instead of recomputing it.
+        for mon in monomials:
+            pull_back(SuperFunction(chart24, {mon: one}))
+        assert all(pull_back._odd_images[m] is v for m, v in zeros.items())
 
 
 class TestLeibnizAndKoszul:
