@@ -2,7 +2,7 @@
 """Run every verification suite at desk scale and print the reports.
 
 Exits nonzero if any check fails.  Obstruction n=3 is the slowest suite
-(about 19 s) and the (2, 4) Pi-Grassmannian suite takes about 2.4 s; pass
+(about 19 s) and the (2, 4) Pi-Grassmannian suite takes about 1.6 s; pass
 --quick to skip the latter.
 """
 

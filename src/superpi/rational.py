@@ -41,6 +41,13 @@ already normal returns it without normalising again: a zero operand of
 flips the sign of num only, which keeps every rule above.  This relies
 on the normalisation being idempotent and commuting with negation.
 
+A sum of any number of terms is normalised once, by RatFun.sum, the one
+place where rational functions are summed: numerators over equal
+denominators are added as polynomials, the groups are brought onto the
+lcm of their denominators (cofactors from a monomial shift or from the
+gcd cache), and only the final quotient is normalised.  a + b and a - b
+are sums of two terms.
+
 Equality of rational functions is decided by cross-multiplication,
 a.num*b.den == b.num*a.den, which is exact and never depends on which
 representative the normalisation happened to keep.
@@ -56,6 +63,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import sub
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 Exponent = tuple[int, ...]
@@ -405,21 +413,70 @@ class RatFun:
 
     # -- arithmetic ---------------------------------------------------------
 
+    @staticmethod
+    def sum(terms: Sequence[RatFun]) -> RatFun:
+        """The sum of one or more normal terms, normalised once.
+
+        Numerators over equal denominators are added as polynomials.  The
+        groups then join a running sum num/D over the lcm of their
+        denominators: with g = gcd(D, d), the group n/d gives
+        (num * d/g + n * D/g) / (D * d/g).  A constant g cross-multiplies,
+        a monomial g divides by shifting exponents, and any other g takes
+        both quotients from the gcd cache.  A sum with at most one nonzero
+        term returns that term, or the first term, as it is.  A sum meets
+        few distinct denominators, so a scan finds each term's group.
+        """
+        first = last = terms[0]
+        variables = first.num.variables
+        dens: list[Poly] = []
+        nums: list[Poly] = []
+        kept = 0
+        for term in terms:
+            num, den = term.num, term.den
+            if num.variables != variables:
+                first.num._require_same_variables(num)
+            if not num.terms:
+                continue
+            kept += 1
+            last = term
+            for i, d in enumerate(dens):
+                if d is den or d == den:
+                    nums[i] = nums[i] + num
+                    break
+            else:
+                dens.append(den)
+                nums.append(num)
+        if kept < 2:
+            return last
+        groups = [(n, d) for n, d in zip(nums, dens) if n.terms]
+        if not groups:  # every group cancelled
+            return RatFun(nums[0], dens[0])
+        num, den = groups[0]
+        for n, d in groups[1:]:
+            g = poly_gcd(den, d)
+            if len(g.terms) > 1:
+                den_cof, d_cof = _cofactors(den, d, g)
+            else:
+                # g is the monomial x^shift, and 1 when den and d are coprime.
+                shift = next(iter(g.terms))
+                den_cof, d_cof = den, d
+                if any(shift):
+                    den_cof, d_cof = _shift_poly(den, shift), _shift_poly(d, shift)
+            num = num * d_cof + n * den_cof
+            den = den * d_cof
+        return RatFun(num, den)
+
     def __add__(self, other: RatFun) -> RatFun:
         if self.num.is_zero or other.num.is_zero:
             self.num._require_same_variables(other.num)
             return self if other.num.is_zero else other
-        if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        return RatFun.sum((self, other))
 
     def __sub__(self, other: RatFun) -> RatFun:
         if self.num.is_zero or other.num.is_zero:
             self.num._require_same_variables(other.num)
             return self if other.num.is_zero else -other
-        if self.den == other.den:
-            return RatFun(self.num - other.num, self.den)
-        return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
+        return RatFun.sum((self, -other))
 
     def __neg__(self) -> RatFun:
         return RatFun._raw(-self.num, self.den)
@@ -550,7 +607,7 @@ def _primitive(*polys: Poly) -> list[Poly]:
 
 
 def _shift(exps: Exponent, shift: Exponent) -> Exponent:
-    return tuple(e - s for e, s in zip(exps, shift))
+    return tuple(map(sub, exps, shift))
 
 
 def _shift_poly(p: Poly, shift: Exponent) -> Poly:

@@ -10,9 +10,11 @@ coordinates:
 
 Zero components are never stored.  Multiplication merges the odd monomials
 and picks up the sign of the sorting permutation; a repeated odd name kills
-the term (theta^2 = 0).  Even elements with an invertible body (nonzero
-degree-0 part) are invertible through a finite geometric series, since the
-nilpotent remainder has order at most floor(q/2)+1 in products.
+the term (theta^2 = 0).  Products and sums gather the terms that land on
+one odd monomial and add them with one RatFun.sum.  Even elements with an
+invertible body (nonzero degree-0 part) are invertible through a finite
+geometric series, since the nilpotent remainder has order at most
+floor(q/2)+1 in products.
 
 The canonical text form round-trips exactly through parse_superfunction:
 components are printed in increasing (length, position) order of their odd
@@ -97,6 +99,29 @@ def _merge_odd(m1: OddMonomial, m2: OddMonomial, chart: Chart) -> tuple[int, Odd
     merged.extend(left[i:])
     merged.extend(right[j:])
     return sign, tuple(chart.odd_coords[k] for k in merged)
+
+
+def _collect(
+    chart: Chart, out: dict[OddMonomial, RatFun], terms: list[tuple[OddMonomial, RatFun]]
+) -> SuperFunction:
+    """The function on chart with the sum of out and the terms at each monomial.
+
+    out, which this takes over, holds the first term of each monomial it
+    has.  A first term is kept as it is; only the monomials that collect
+    several terms go through RatFun.sum, which normalises once.
+    """
+    more: dict[OddMonomial, list[RatFun]] = {}
+    for mon, coeff in terms:
+        prev = out.get(mon)
+        if prev is None:
+            out[mon] = coeff
+        elif mon in more:
+            more[mon].append(coeff)
+        else:
+            more[mon] = [prev, coeff]
+    for mon, coeffs in more.items():
+        out[mon] = RatFun.sum(coeffs)
+    return SuperFunction._raw(chart, out)
 
 
 class SuperFunction:
@@ -213,13 +238,19 @@ class SuperFunction:
 
     # -- arithmetic ---------------------------------------------------------
 
+    @staticmethod
+    def sum(chart: Chart, functions: Sequence[SuperFunction]) -> SuperFunction:
+        """The sum of functions on chart, one RatFun.sum per odd monomial."""
+        for f in functions:
+            if f.chart is not chart and f.chart != chart:
+                raise ValueError(f"charts differ: {chart.name!r} vs {f.chart.name!r}")
+        if len(functions) < 2:
+            return functions[0] if functions else SuperFunction.zero(chart)
+        rest = [item for f in functions[1:] for item in f.components.items()]
+        return _collect(chart, dict(functions[0].components), rest)
+
     def __add__(self, other: SuperFunction) -> SuperFunction:
-        self._require_same_chart(other)
-        out = dict(self.components)
-        for mon, coeff in other.components.items():
-            prev = out.get(mon)
-            out[mon] = coeff if prev is None else prev + coeff
-        return SuperFunction._raw(self.chart, out)
+        return SuperFunction.sum(self.chart, (self, other))
 
     def __sub__(self, other: SuperFunction) -> SuperFunction:
         return self + (-other)
@@ -229,18 +260,15 @@ class SuperFunction:
 
     def __mul__(self, other: SuperFunction) -> SuperFunction:
         self._require_same_chart(other)
-        out: dict[OddMonomial, RatFun] = {}
+        chart = self.chart
+        terms = []
         for m1, c1 in self.components.items():
             for m2, c2 in other.components.items():
-                sign, mon = _merge_odd(m1, m2, self.chart)
-                if sign == 0:
-                    continue
-                term = c1 * c2
-                if sign < 0:
-                    term = -term
-                prev = out.get(mon)
-                out[mon] = term if prev is None else prev + term
-        return SuperFunction._raw(self.chart, out)
+                sign, mon = _merge_odd(m1, m2, chart)
+                if sign:
+                    term = c1 * c2
+                    terms.append((mon, term if sign > 0 else -term))
+        return _collect(chart, {}, terms)
 
     def scale(self, value) -> SuperFunction:
         return SuperFunction(
@@ -381,7 +409,7 @@ class Pullback:
         if cached is not None:
             return cached
         target = self.target
-        result = SuperFunction.zero(target)
+        terms = []
         for exps, coeff in p.terms.items():
             term = SuperFunction.const(target, coeff)
             for v, e in zip(p.variables, exps):
@@ -393,8 +421,8 @@ class Pullback:
                 while len(cache) <= e:
                     cache.append(cache[-1] * self._image(v))
                 term = term * cache[e]
-            result = result + term
-        self._poly_images[p] = result
+            terms.append(term)
+        result = self._poly_images[p] = SuperFunction.sum(target, terms)
         return result
 
     def _den_inverse(self, p: Poly) -> SuperFunction:
@@ -419,13 +447,13 @@ class Pullback:
                 f"pullback from chart {self.source.name!r} applied to a function "
                 f"on {f.chart.name!r}"
             )
-        total = SuperFunction.zero(self.target)
+        terms = []
         for mon, coeff in f.components.items():
             term = self._poly_image(coeff.num) * self._den_inverse(coeff.den)
             if mon:
                 term = term * self._odd_image(mon)
-            total = total + term
-        return total
+            terms.append(term)
+        return SuperFunction.sum(self.target, terms)
 
 
 def substitute(

@@ -156,9 +156,10 @@ def even_det(rows: Sequence[Sequence[SuperFunction]]) -> SuperFunction:
         for entry in row:
             if entry.parity != "even":
                 raise ValueError("even_det requires even entries")
+    chart = rows[0][0].chart
     minors = {1 << j: entry for j, entry in enumerate(rows[0]) if not entry.is_zero}
     for row in rows[1:]:
-        extended: dict[int, SuperFunction] = {}
+        extended: dict[int, list[SuperFunction]] = {}
         for cols, minor in minors.items():
             for j, entry in enumerate(row):
                 if cols >> j & 1 or entry.is_zero:
@@ -166,10 +167,10 @@ def even_det(rows: Sequence[Sequence[SuperFunction]]) -> SuperFunction:
                 term = minor * entry
                 if (cols >> j).bit_count() % 2:
                     term = -term
-                prev = extended.get(cols | 1 << j)
-                extended[cols | 1 << j] = term if prev is None else prev + term
-        minors = {cols: minor for cols, minor in extended.items() if not minor.is_zero}
-    return minors.get((1 << n) - 1, SuperFunction.zero(rows[0][0].chart))
+                extended.setdefault(cols | 1 << j, []).append(term)
+        minors = {cols: SuperFunction.sum(chart, terms) for cols, terms in extended.items()}
+        minors = {cols: minor for cols, minor in minors.items() if not minor.is_zero}
+    return minors.get((1 << n) - 1, SuperFunction.zero(chart))
 
 
 def even_matrix_inverse(
@@ -193,19 +194,17 @@ def grid_mul(
     cols: int = 0,
 ) -> list[list[SuperFunction]]:
     """The product x * y, skipping zero factors; cols is the width of y when y has no rows."""
-    zero = SuperFunction.zero(chart)
-    out = []
-    for i in range(len(x)):
-        row = []
-        for j in range(len(y[0]) if y else cols):
-            acc = zero
-            for k in range(len(y)):
-                if x[i][k].is_zero or y[k][j].is_zero:
-                    continue
-                acc = acc + x[i][k] * y[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    width = len(y[0]) if y else cols
+    return [
+        [
+            SuperFunction.sum(
+                chart,
+                [a * y[k][j] for k, a in enumerate(row) if not (a.is_zero or y[k][j].is_zero)],
+            )
+            for j in range(width)
+        ]
+        for row in x
+    ]
 
 
 def grid_sub(

@@ -445,6 +445,132 @@ class TestSympyOracle:
             assert (num, den) == (p.scale(unit), q.scale(unit))
 
 
+def counted(log, fn):
+    """fn, appending its arguments to log on every call."""
+    return lambda *args: log.append(args) or fn(*args)
+
+
+def cross_multiplied_fold(terms):
+    """Pairwise sum with the cross-multiplied formula that RatFun.sum replaced."""
+    total = terms[0]
+    for t in terms[1:]:
+        if total.is_zero or t.is_zero:
+            total = t if total.is_zero else total
+        elif total.den == t.den:
+            total = RatFun(total.num + t.num, total.den)
+        else:
+            total = RatFun(total.num * t.den + t.num * total.den, total.den * t.den)
+    return total
+
+
+def _denominator_families():
+    x, y, z = (Poly.var(V, name) for name in V)
+    one = Poly.const(V, 1)
+    return {
+        "equal": [x * z + y + one],
+        "monomial": [y, y * y, x * y],
+        "binomial": [(x + y) * y, x + y],
+        "coprime": [x + one, y + Poly.const(V, 2), x * z + Poly.const(V, 3)],
+        "mixed": [y, x + y, (x + y) * y, x + one],
+    }
+
+
+def sum_cases(seed, count):
+    """(family, terms): 2-8 normal terms over one family of denominators.
+
+    Some terms are scaled by a Fraction, and some sums end with the
+    negations of earlier terms, so that they cancel in part or to zero.
+    """
+    rng = random.Random(seed)
+    families = _denominator_families()
+    names = sorted(families)
+    for k in range(count):
+        family = names[k % len(names)]
+        terms = []
+        for _ in range(rng.randint(2, 8)):
+            term = RatFun(_int_poly(rng, 1, 3), rng.choice(families[family]))
+            if rng.random() < 0.3:
+                term = term.scale(Fraction(rng.choice((-5, -1, 2, 3)), rng.choice((2, 3, 7))))
+            terms.append(term)
+        if rng.random() < 0.3:
+            terms += [-t for t in rng.sample(terms, rng.randint(1, len(terms)))]
+        yield family, terms
+
+
+class TestRatFunSum:
+    """RatFun.sum against the pairwise fold, the normal form and sympy."""
+
+    def test_equals_the_cross_multiplied_fold(self):
+        seen = set()
+        for family, terms in sum_cases(31, 200):
+            total = RatFun.sum(terms)
+            assert total.equals(cross_multiplied_fold(terms))
+            assert _normalize_pair(total.num, total.den) == (total.num, total.den)
+            seen.add((family, total.is_zero))
+        assert {family for family, _ in seen} == set(_denominator_families())
+        assert any(is_zero for _, is_zero in seen)
+
+    def test_against_sympy_cancel(self):
+        sympy = pytest.importorskip("sympy")
+        gens = sympy.symbols(V)
+
+        def to_sympy(p):
+            return sympy.Poly.from_dict(dict(p.terms) or {(0,) * len(V): 0}, gens, domain="QQ")
+
+        def from_sympy(p):
+            return poly({e: Fraction(int(c.p), int(c.q)) for e, c in p.as_dict().items()})
+
+        for _, terms in sum_cases(32, 60):
+            total = RatFun.sum(terms)
+            num, den = to_sympy(Poly.const(V, 0)), to_sympy(Poly.const(V, 1))
+            for t in terms:
+                num, den = num * to_sympy(t.den) + to_sympy(t.num) * den, den * to_sympy(t.den)
+            p, q = (from_sympy(part) for part in num.cancel(den, include=True))
+            if total.is_zero:
+                assert p.is_zero
+                continue
+            unit = Fraction(total.den.leading()[1]) / q.leading()[1]
+            assert (total.num, total.den) == (p.scale(unit), q.scale(unit))
+
+    def test_single_and_zero_terms_come_back_as_they_are(self):
+        x = var("x") / (var("y") + const(1))
+        zero = RatFun.zero(V)
+        assert RatFun.sum([x]) is x
+        assert RatFun.sum([zero, x, zero]) is x
+        assert RatFun.sum([zero, zero]) is zero
+        with pytest.raises(ValueError, match="mismatched variable sets"):
+            RatFun.sum([x, RatFun.zero(("x",))])
+
+    def test_one_normalisation_over_one_denominator(self, monkeypatch):
+        rng = random.Random(33)
+        den = _denominator_families()["equal"][0]
+        calls = []
+        monkeypatch.setattr(rational, "_normalize_pair", counted(calls, rational._normalize_pair))
+        for k in range(2, 9):
+            terms = [RatFun(_int_poly(rng, 1, 3), den) for _ in range(k)]
+            del calls[:]
+            total = RatFun.sum(terms)
+            assert len(calls) == 1
+            assert total.equals(cross_multiplied_fold(terms))
+
+    @pytest.mark.parametrize("family", ["monomial", "binomial"])
+    def test_the_common_denominator_is_the_lcm(self, monkeypatch, family):
+        x, y, _ = (Poly.var(V, name) for name in V)
+        one = Poly.const(V, 1)
+        lcm = {"monomial": x * y * y, "binomial": (x + y) * y}[family]
+        terms = [RatFun(x + one, d) for d in _denominator_families()[family]]
+        normalised, divisions = [], []
+        monkeypatch.setattr(rational, "_GCD_CACHE", {})
+        monkeypatch.setattr(rational, "_normalize_pair", counted(normalised, rational._normalize_pair))
+        monkeypatch.setattr(rational, "poly_exact_div", counted(divisions, rational.poly_exact_div))
+        total = RatFun.sum(terms)
+        assert [den for _, den in normalised] == [lcm]
+        assert total.equals(cross_multiplied_fold(terms))
+        # A monomial gcd divides by shifting exponents, without any division.
+        if family == "monomial":
+            assert divisions == []
+
+
 class TestLinearAlgebra:
     def test_rat_solve(self):
         x = var("x")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superpi.builders import derive_transition_from_cells, pi_grassmannian_cells
+import superpi.rational as rational
 from superpi.rational import RatFun
 from superpi.superalgebra import (
     Chart,
@@ -90,6 +91,62 @@ class TestArithmetic:
         assert sf("(1)*[th10]").parity == "odd"
         assert sf("(z10) + (1)*[th10]").parity == "inhomogeneous"
         assert SuperFunction.zero(U0).parity == "even"
+
+
+def colliding_factors(k):
+    """f, g on a chart with k odd names whose product has exactly k nonzero
+    terms, all on the monomial of every odd name: theta_i * theta_([k] - i)."""
+    chart = Chart("K", ("x", "y"), tuple(f"t{i}" for i in range(1, k + 1)))
+    even, odd = chart.even_coords, chart.odd_coords
+    x, y = RatFun.var(even, "x"), RatFun.var(even, "y")
+    f = SuperFunction(
+        chart, {(odd[i],): RatFun.one(even) / (x + RatFun.const(even, i + 1)) for i in range(k)}
+    )
+    g = SuperFunction(
+        chart, {odd[:i] + odd[i + 1 :]: y / (y + RatFun.const(even, i + 2)) for i in range(k)}
+    )
+    return chart, f, g
+
+
+class TestSums:
+    def test_sum_matches_the_pairwise_fold(self, chart24):
+        rng = random.Random(41)
+        for _ in range(40):
+            functions = [
+                random_superfunction(rng, chart24, max_components=4)
+                for _ in range(rng.randint(0, 6))
+            ]
+            total = SuperFunction.zero(chart24)
+            for f in functions:
+                total = total + f
+            assert SuperFunction.sum(chart24, functions).equals(total)
+        with pytest.raises(ValueError, match="charts differ"):
+            SuperFunction.sum(U0, [SuperFunction.one(U0), SuperFunction.one(U1)])
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_colliding_product_normalises_each_product_and_the_sum_once(self, monkeypatch, k):
+        chart, f, g = colliding_factors(k)
+        expected = SuperFunction.zero(chart)
+        for m1, c1 in f.components.items():
+            for m2, c2 in g.components.items():
+                expected += SuperFunction(chart, {m1: c1}) * SuperFunction(chart, {m2: c2})
+        normalisations, sums = [], []
+        real_normalize, real_sum = rational._normalize_pair, RatFun.sum
+        monkeypatch.setattr(
+            rational, "_normalize_pair", lambda n, d: normalisations.append(1) or real_normalize(n, d)
+        )
+        monkeypatch.setattr(
+            RatFun, "sum", staticmethod(lambda terms: sums.append(len(terms)) or real_sum(terms))
+        )
+        product = f * g
+        assert list(product.components) == [chart.odd_coords]
+        assert product.equals(expected)
+        assert len(normalisations) == k + 1
+        assert sums == [k]
+        # A product without collisions keeps every term as it is.
+        del sums[:]
+        f * SuperFunction.coordinate(chart, "x")
+        assert sums == []
 
 
 class TestInvert:
