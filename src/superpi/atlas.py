@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .report import FAIL, PASS, UNDETERMINED, VerificationReport
-from .superalgebra import Chart, Pullback, SuperFunction, substitute
+from .superalgebra import Chart, Pullback, SuperFunction, check_image, substitute
 from .supermatrix import SuperMatrix, berezinian, grid_mul
 
 
@@ -41,13 +41,7 @@ class TransitionMap:
         for name, img in self.images.items():
             if img.chart != self.source:
                 raise ValueError(f"image of {name!r} does not live on the source chart")
-            if self.target.is_even(name):
-                if img.parity != "even":
-                    raise ValueError(f"even coordinate {name!r} has non-even image")
-                if img.body().is_zero:
-                    raise ValueError(f"even coordinate {name!r} has zero-body image")
-            elif not img.is_zero and img.parity != "odd":
-                raise ValueError(f"odd coordinate {name!r} has non-odd image")
+            check_image(self.target, name, img)
 
     def pull_back(self, f: SuperFunction) -> SuperFunction:
         """Rewrite a superfunction on the target chart in source coordinates."""

@@ -24,16 +24,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping, Optional
 
 from .atlas import Atlas, TransitionMap
 from .builders import build_projective_superspace, reduce_atlas
-from .rational import Poly, RatFun, exact, rat_mat_inverse, rat_solve, solve_fraction_system
+from .rational import (
+    Poly,
+    RatFun,
+    exact,
+    rat_mat_inverse,
+    rat_solve,
+    solve_fraction_system,
+    sum_by_key,
+)
 from .report import FAIL, PASS, VerificationReport
 from .superalgebra import Chart, Pullback, SuperFunction
 
 SectionKey = tuple[str, tuple[str, str]]  # (vector coord, (form coord a, form coord b))
+
+
+def _components_equal(mine: Mapping, theirs: Mapping) -> bool:
+    # No zero component is ever stored, so equal sections share their keys.
+    return mine.keys() == theirs.keys() and all(c.equals(theirs[k]) for k, c in mine.items())
 
 
 @dataclass(frozen=True)
@@ -69,10 +82,7 @@ class TensorSection:
     def __add__(self, other: TensorSection) -> TensorSection:
         if self.chart != other.chart:
             raise ValueError("sections on different charts")
-        out = dict(self.components)
-        zero = RatFun.zero(self.chart.even_coords)
-        for key, coeff in other.components.items():
-            out[key] = out.get(key, zero) + coeff
+        out = sum_by_key(dict(self.components), other.components.items())
         return TensorSection(self.chart, out)
 
     def __sub__(self, other: TensorSection) -> TensorSection:
@@ -89,12 +99,7 @@ class TensorSection:
     def equals(self, other: TensorSection) -> bool:
         if self.chart != other.chart:
             return False
-        keys = set(self.components) | set(other.components)
-        zero = RatFun.zero(self.chart.even_coords)
-        return all(
-            self.components.get(k, zero).equals(other.components.get(k, zero))
-            for k in keys
-        )
+        return _components_equal(self.components, other.components)
 
     def to_str(self) -> str:
         if not self.components:
@@ -148,8 +153,7 @@ def pullback_tensor(section: TensorSection, t: TransitionMap | BodyPullback) -> 
     src_names = body.source.even_coords
     m_rows, n_rows = body.jacobian, body.inverse
     m_idx = {name: i for i, name in enumerate(body.target.even_coords)}
-    out: dict[SectionKey, RatFun] = {}
-    zero = RatFun.zero(src_names)
+    terms: list[tuple[SectionKey, RatFun]] = []
     for (k, (a, b)), coeff in section.components.items():
         coeff_src = body(coeff)
         ka, kb, kk = m_idx[a], m_idx[b], m_idx[k]
@@ -164,8 +168,8 @@ def pullback_tensor(section: TensorSection, t: TransitionMap | BodyPullback) -> 
                 if frame.is_zero:
                     continue
                 key = (q, (src_names[ci], src_names[cd]))
-                out[key] = out.get(key, zero) + coeff_src * form * frame
-    return TensorSection(body.source, out)
+                terms.append((key, coeff_src * form * frame))
+    return TensorSection(body.source, sum_by_key({}, terms))
 
 
 @dataclass(frozen=True)
@@ -380,10 +384,7 @@ class HomogeneousSection:
     def __add__(self, other: HomogeneousSection) -> HomogeneousSection:
         if (self.n, self.chart_index) != (other.n, other.chart_index):
             raise ValueError("sections in different frames")
-        out = dict(self.components)
-        zero = RatFun.zero(_xvars(self.n))
-        for key, coeff in other.components.items():
-            out[key] = out.get(key, zero) + coeff
+        out = sum_by_key(dict(self.components), other.components.items())
         return HomogeneousSection(self.n, self.chart_index, out)
 
     def __sub__(self, other: HomogeneousSection) -> HomogeneousSection:
@@ -394,12 +395,7 @@ class HomogeneousSection:
     def equals(self, other: HomogeneousSection) -> bool:
         if (self.n, self.chart_index) != (other.n, other.chart_index):
             return False
-        keys = set(self.components) | set(other.components)
-        zero = RatFun.zero(_xvars(self.n))
-        return all(
-            self.components.get(k, zero).equals(other.components.get(k, zero))
-            for k in keys
-        )
+        return _components_equal(self.components, other.components)
 
     def to_str(self) -> str:
         if not self.components:
@@ -435,20 +431,17 @@ def rewrite_frames(section: HomogeneousSection, j: int) -> HomogeneousSection:
     if j == i:
         return section
     z_ij = _xvar(n, i) / _xvar(n, j)
-    out: dict[tuple[int, tuple[int, int]], RatFun] = {}
-    zero = RatFun.zero(_xvars(n))
+    terms = []
     for (k, wedge), coeff in section.components.items():
         if k != j:
-            key = (k, wedge)
-            out[key] = out.get(key, zero) + coeff * z_ij
+            terms.append(((k, wedge), coeff * z_ij))
         else:
             for m in range(n + 1):
                 if m == j:
                     continue
                 z_mj = _xvar(n, m) / _xvar(n, j)
-                key = (m, wedge)
-                out[key] = out.get(key, zero) - coeff * z_ij * z_mj
-    return HomogeneousSection(n, j, out)
+                terms.append(((m, wedge), -(coeff * z_ij * z_mj)))
+    return HomogeneousSection(n, j, sum_by_key({}, terms))
 
 
 def expected_coboundary(n: int, i: int, j: int) -> HomogeneousSection:
@@ -458,10 +451,8 @@ def expected_coboundary(n: int, i: int, j: int) -> HomogeneousSection:
     (z_kj / z_ij) e_j^e_i + (1/z_ij) e_i^e_k - e_j^e_k.  (The last sign is
     forced by the cancellation of the d/dz_ij component.)
     """
-    xvars = _xvars(n)
     xj2_inv = (_xvar(n, j) * _xvar(n, j)).inverse()
-    zero = RatFun.zero(xvars)
-    out: dict[tuple[int, tuple[int, int]], RatFun] = {}
+    terms = []
 
     def add(k: int, a: int, b: int, coeff: RatFun):
         if a == b:
@@ -470,8 +461,7 @@ def expected_coboundary(n: int, i: int, j: int) -> HomogeneousSection:
         if a > b:
             a, b = b, a
             sign = -1
-        key = (k, (a, b))
-        out[key] = out.get(key, zero) + coeff.scale(sign)
+        terms.append(((k, (a, b)), coeff.scale(sign)))
 
     for k in range(n + 1):
         if k in (i, j):
@@ -481,7 +471,7 @@ def expected_coboundary(n: int, i: int, j: int) -> HomogeneousSection:
         add(k, j, i, xj2_inv * z_kj_over_z_ij)
         add(k, i, k, xj2_inv * z_ij_inv)
         add(k, j, k, -xj2_inv)
-    return HomogeneousSection(n, j, out)
+    return HomogeneousSection(n, j, sum_by_key({}, terms))
 
 
 def euler_inclusion_vector(n: int, a: int, j: int) -> dict[int, RatFun]:
@@ -510,14 +500,12 @@ def wedge_inclusion(n: int, a: int, b: int, j: int) -> dict[tuple[int, int], Rat
 def lifted_obstruction_section(n: int, i: int, j: int) -> HomogeneousSection:
     """Image of the (i, j) obstruction section under the wedge inclusion."""
     z_ij_inv = _xvar(n, j) / _xvar(n, i)
-    zero = RatFun.zero(_xvars(n))
-    out: dict[tuple[int, tuple[int, int]], RatFun] = {}
-    for k in range(n + 1):
-        if k in (i, j):
-            continue
-        for (p, q), coeff in wedge_inclusion(n, i, k, j).items():
-            key = (k, (p, q))
-            out[key] = out.get(key, zero) + coeff * z_ij_inv
+    out = {
+        (k, pair): coeff * z_ij_inv
+        for k in range(n + 1)
+        if k not in (i, j)
+        for pair, coeff in wedge_inclusion(n, i, k, j).items()
+    }
     return HomogeneousSection(n, j, out)
 
 
@@ -530,14 +518,13 @@ def alternating_quotient_wedge(
     index m to its coefficient.
     """
     xi = _xvar(n, i)
-    zero = RatFun.zero(_xvars(n))
-    out: dict[int, RatFun] = {}
+    terms = []
     for (p, q), coeff in wedge.items():
         if q != i:
-            out[q] = out.get(q, zero) + coeff * xi * _xvar(n, p)
+            terms.append((q, coeff * xi * _xvar(n, p)))
         if p != i:
-            out[p] = out.get(p, zero) - coeff * xi * _xvar(n, q)
-    return {m: c for m, c in out.items() if not c.is_zero}
+            terms.append((p, -(coeff * xi * _xvar(n, q))))
+    return {m: c for m, c in sum_by_key({}, terms).items() if not c.is_zero}
 
 
 def alternating_quotient_section(
@@ -546,16 +533,14 @@ def alternating_quotient_section(
     """Apply the alternating quotient framewise: (frame k, dz index m) -> coeff."""
     n = section.n
     i = section.chart_index
-    zero = RatFun.zero(_xvars(n))
-    out: dict[tuple[int, int], RatFun] = {}
     by_frame: dict[int, dict[tuple[int, int], RatFun]] = {}
     for (k, wedge_key), coeff in section.components.items():
         by_frame.setdefault(k, {})[wedge_key] = coeff
-    for k, wedge in by_frame.items():
-        for m, coeff in alternating_quotient_wedge(n, wedge, i).items():
-            key = (k, m)
-            out[key] = out.get(key, zero) + coeff
-    return {key: c for key, c in out.items() if not c.is_zero}
+    return {
+        (k, m): coeff
+        for k, wedge in by_frame.items()
+        for m, coeff in alternating_quotient_wedge(n, wedge, i).items()
+    }
 
 
 def lifting_verify(n: int) -> VerificationReport:
@@ -617,17 +602,9 @@ def lifting_verify(n: int) -> VerificationReport:
 
 
 def _monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, budget: int):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for d in range(budget + 1):
-            rec(prefix + [d], remaining - 1, budget - d)
-
-    rec([], nvars, degree)
-    return sorted(out, key=lambda e: (sum(e), e))
+    """Exponents of total degree <= degree, by total degree, then lexicographically."""
+    exps = [e for e in product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
+    return sorted(exps, key=lambda e: (sum(e), e))
 
 
 def _clear_denominators(
@@ -666,20 +643,24 @@ def coboundary_solve(
     Candidate coefficients are polynomials of total degree at most
     degree_bound on each chart; differences are compared in the frames of
     the later chart of each pair.  The assembled linear system over Q is
-    solved exactly; free unknowns are fixed to zero.
+    solved exactly; free unknowns are fixed to zero.  A negative
+    degree_bound raises ValueError.
     """
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     atlas = cochain.atlas
     names = atlas.chart_names()
     columns: list[tuple[str, str, tuple[str, str], tuple[int, ...]]] = []
     col_index: dict[tuple[str, str, tuple[str, str], tuple[int, ...]], int] = {}
     per_chart_keys: dict[str, list[SectionKey]] = {}
+    monomials: dict[str, list[tuple[int, ...]]] = {}
     for name in names:
-        chart = atlas.chart(name)
-        evens = chart.even_coords
+        evens = atlas.chart(name).even_coords
         keys = [(k, (a, b)) for k in evens for a, b in combinations(evens, 2)]
         per_chart_keys[name] = keys
+        monomials[name] = _monomials_up_to(len(evens), degree_bound)
         for key in keys:
-            for mono in _monomials_up_to(len(evens), degree_bound):
+            for mono in monomials[name]:
                 full = (name, key[0], key[1], mono)
                 col_index[full] = len(columns)
                 columns.append(full)
@@ -698,7 +679,7 @@ def coboundary_solve(
         }
         mono_images = {
             mono: body(RatFun.from_poly(Poly(chart_i.even_coords, {mono: 1})))
-            for mono in _monomials_up_to(len(chart_i.even_coords), degree_bound)
+            for mono in monomials[i_name]
         }
         target = cochain.section(i_name, j_name)
         for out_key in per_chart_keys[j_name]:
@@ -711,7 +692,7 @@ def coboundary_solve(
                     value = base * mono_img
                     if not value.is_zero:
                         terms.append((col_index[(i_name, key[0], key[1], mono)], value))
-            for mono in _monomials_up_to(len(chart_j.even_coords), degree_bound):
+            for mono in monomials[j_name]:
                 mono_rf = RatFun.from_poly(Poly(chart_j.even_coords, {mono: Fraction(1)}))
                 terms.append((col_index[(j_name, out_key[0], out_key[1], mono)], -mono_rf))
             rhs_rf = target.components.get(out_key, RatFun.zero(chart_j.even_coords))
@@ -737,7 +718,7 @@ def coboundary_solve(
         comp: dict[SectionKey, RatFun] = {}
         for key in per_chart_keys[name]:
             poly_terms = {}
-            for mono in _monomials_up_to(len(chart.even_coords), degree_bound):
+            for mono in monomials[name]:
                 value = solution[col_index[(name, key[0], key[1], mono)]]
                 if value:
                     poly_terms[mono] = value

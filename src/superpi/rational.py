@@ -46,7 +46,10 @@ place where rational functions are summed: numerators over equal
 denominators are added as polynomials, the groups are brought onto the
 lcm of their denominators (cofactors from a monomial shift or from the
 gcd cache), and only the final quotient is normalised.  a + b and a - b
-are sums of two terms.
+are sums of two terms.  Keyed sums, such as the components of a
+superfunction or of a Cech section, go through sum_by_key, the one keyed
+accumulation beside RatFun.sum: a key with one term keeps it as it is,
+and a key with several gets one RatFun.sum.
 
 Equality of rational functions is decided by cross-multiplication,
 a.num*b.den == b.num*a.den, which is exact and never depends on which
@@ -64,9 +67,10 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import sub
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 Exponent = tuple[int, ...]
+Key = TypeVar("Key", bound=Hashable)
 
 Rational = int | Fraction
 
@@ -544,6 +548,30 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({self.to_str()})"
+
+
+def sum_by_key(
+    out: dict[Key, RatFun], terms: Iterable[tuple[Key, RatFun]]
+) -> dict[Key, RatFun]:
+    """out with every (key, term) added at its key, one RatFun.sum per key.
+
+    out, which this takes over and returns, holds the first term of each
+    key it has.  A first term is kept as it is; only the keys that collect
+    several terms go through RatFun.sum, which normalises once.  A sum
+    that cancels stays in out as a zero, for the caller to drop.
+    """
+    more: dict[Key, list[RatFun]] = {}
+    for key, term in terms:
+        prev = out.get(key)
+        if prev is None:
+            out[key] = term
+        elif key in more:
+            more[key].append(term)
+        else:
+            more[key] = [prev, term]
+    for key, group in more.items():
+        out[key] = RatFun.sum(group)
+    return out
 
 
 def _cross_cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:

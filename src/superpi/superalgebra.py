@@ -11,10 +11,15 @@ coordinates:
 Zero components are never stored.  Multiplication merges the odd monomials
 and picks up the sign of the sorting permutation; a repeated odd name kills
 the term (theta^2 = 0).  Products and sums gather the terms that land on
-one odd monomial and add them with one RatFun.sum.  Even elements with an
-invertible body (nonzero degree-0 part) are invertible through a finite
-geometric series, since the nilpotent remainder has order at most
-floor(q/2)+1 in products.
+one odd monomial and add them with rational.sum_by_key, one RatFun.sum per
+monomial; every other sum here (the terms of a geometric series, of a
+parsed expression, of a pulled-back function) is one SuperFunction.sum.
+Even elements with an invertible body (nonzero degree-0 part) are
+invertible through a finite geometric series, since the nilpotent
+remainder has order at most floor(q/2)+1 in products.
+
+check_image is the one rule for what a coordinate may map to, shared by
+Pullback and atlas.TransitionMap.
 
 The canonical text form round-trips exactly through parse_superfunction:
 components are printed in increasing (length, position) order of their odd
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .rational import Poly, RatFun
+from .rational import Poly, RatFun, sum_by_key
 
 OddMonomial = tuple[str, ...]
 
@@ -99,29 +104,6 @@ def _merge_odd(m1: OddMonomial, m2: OddMonomial, chart: Chart) -> tuple[int, Odd
     merged.extend(left[i:])
     merged.extend(right[j:])
     return sign, tuple(chart.odd_coords[k] for k in merged)
-
-
-def _collect(
-    chart: Chart, out: dict[OddMonomial, RatFun], terms: list[tuple[OddMonomial, RatFun]]
-) -> SuperFunction:
-    """The function on chart with the sum of out and the terms at each monomial.
-
-    out, which this takes over, holds the first term of each monomial it
-    has.  A first term is kept as it is; only the monomials that collect
-    several terms go through RatFun.sum, which normalises once.
-    """
-    more: dict[OddMonomial, list[RatFun]] = {}
-    for mon, coeff in terms:
-        prev = out.get(mon)
-        if prev is None:
-            out[mon] = coeff
-        elif mon in more:
-            more[mon].append(coeff)
-        else:
-            more[mon] = [prev, coeff]
-    for mon, coeffs in more.items():
-        out[mon] = RatFun.sum(coeffs)
-    return SuperFunction._raw(chart, out)
 
 
 class SuperFunction:
@@ -247,7 +229,7 @@ class SuperFunction:
         if len(functions) < 2:
             return functions[0] if functions else SuperFunction.zero(chart)
         rest = [item for f in functions[1:] for item in f.components.items()]
-        return _collect(chart, dict(functions[0].components), rest)
+        return SuperFunction._raw(chart, sum_by_key(dict(functions[0].components), rest))
 
     def __add__(self, other: SuperFunction) -> SuperFunction:
         return SuperFunction.sum(self.chart, (self, other))
@@ -268,7 +250,7 @@ class SuperFunction:
                 if sign:
                     term = c1 * c2
                     terms.append((mon, term if sign > 0 else -term))
-        return _collect(chart, {}, terms)
+        return SuperFunction._raw(chart, sum_by_key({}, terms))
 
     def scale(self, value) -> SuperFunction:
         return SuperFunction(
@@ -301,18 +283,17 @@ class SuperFunction:
         if b.is_zero:
             raise ZeroDivisionError("superfunction with nilpotent (zero-body) part")
         inv_body = SuperFunction.from_ratfun(self.chart, b.inverse())
-        nil = self - SuperFunction.from_ratfun(self.chart, b)
+        nil = SuperFunction._raw(self.chart, {m: c for m, c in self.components.items() if m})
         if nil.is_zero:
             return inv_body
         x = nil * inv_body
-        result = SuperFunction.one(self.chart)
-        power = SuperFunction.one(self.chart)
+        terms = [SuperFunction.one(self.chart)]
         for _ in range(len(self.chart.odd_coords) // 2):
-            power = -(power * x)
+            power = -(terms[-1] * x)
             if power.is_zero:
                 break
-            result = result + power
-        return result * inv_body
+            terms.append(power)
+        return SuperFunction.sum(self.chart, terms) * inv_body
 
     def derive(self, name: str) -> SuperFunction:
         """Partial derivative; odd variables use the left convention.
@@ -355,11 +336,26 @@ class SuperFunction:
         return f"SuperFunction({self.chart.name!r}, {self.to_str()})"
 
 
+def check_image(source: Chart, name: str, image: SuperFunction) -> None:
+    """Refuse an image that coordinate name of source cannot map to.
+
+    An even coordinate needs an even image with nonzero body, so that
+    denominators stay invertible; an odd coordinate needs an odd or zero
+    image.
+    """
+    if source.is_even(name):
+        if image.parity != "even":
+            raise ValueError(f"even coordinate {name!r} mapped to non-even image")
+        if image.body().is_zero:
+            raise ValueError(f"even coordinate {name!r} mapped to zero-body image")
+    elif not image.is_zero and image.parity != "odd":
+        raise ValueError(f"odd coordinate {name!r} mapped to non-odd image")
+
+
 class Pullback:
     """The ring homomorphism sending each coordinate of a chart to its image.
 
-    Even coordinates must map to even superfunctions with nonzero body,
-    odd coordinates to odd superfunctions, and all images must share one
+    Every image must pass check_image, and all images must share one
     chart.  Odd monomials map to the ordered product of the images.
 
     The assignment is checked once, when the pullback is built.  The powers
@@ -382,14 +378,7 @@ class Pullback:
         if target is None:
             raise ValueError("empty substitution")
         for name, img in assignment.items():
-            if source.is_even(name):
-                if img.parity != "even":
-                    raise ValueError(f"even coordinate {name!r} mapped to non-even image")
-                if img.body().is_zero:
-                    raise ValueError(f"even coordinate {name!r} mapped to zero-body image")
-            else:
-                if not img.is_zero and img.parity != "odd":
-                    raise ValueError(f"odd coordinate {name!r} mapped to non-odd image")
+            check_image(source, name, img)
         self.source = source
         self.target = target
         self.assignment = assignment
@@ -511,13 +500,13 @@ class _Parser:
         return value
 
     def parse_superfunction(self) -> SuperFunction:
-        total = self.parse_term()
+        terms = [self.parse_term()]
         while self.peek() in "+-":
             op, _ = self.next()
             term = self.parse_term()
-            total = total + term if op == "+" else total - term
+            terms.append(term if op == "+" else -term)
         self.expect("end")
-        return total
+        return SuperFunction.sum(self.chart, terms)
 
     def parse_term(self) -> SuperFunction:
         if self.peek() == "[":

@@ -32,6 +32,32 @@ from superpi.supermatrix import SuperMatrix, berezinian
 from conftest import random_transition
 
 
+class TestTransitionMap:
+    @pytest.mark.parametrize(
+        "name, image, message",
+        [
+            ("z01", "(1)*[th10]", "even coordinate 'z01' mapped to non-even image"),
+            ("z01", "(1)*[th10*th20]", "even coordinate 'z01' mapped to zero-body image"),
+            ("th01", "(z10)", "odd coordinate 'th01' mapped to non-odd image"),
+        ],
+    )
+    def test_bad_images_raise_the_pullback_messages(self, name, image, message):
+        t = build_pi_projective_closed(2).transition("U0", "U1")
+        images = dict(t.images, **{name: parse_superfunction(image, t.source)})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TransitionMap(t.source, t.target, images)
+
+    def test_missing_and_foreign_images(self):
+        t = build_pi_projective_closed(2).transition("U0", "U1")
+        images = dict(t.images)
+        del images["th21"]
+        with pytest.raises(ValueError, match="^transition misses target coordinate 'th21'$"):
+            TransitionMap(t.source, t.target, images)
+        images = dict(t.images, z01=SuperFunction.one(t.target))
+        with pytest.raises(ValueError, match="^image of 'z01' does not live on the source chart$"):
+            TransitionMap(t.source, t.target, images)
+
+
 class TestCompose:
     def test_with_identity(self):
         atlas = build_pi_projective_closed(2)

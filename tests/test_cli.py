@@ -84,6 +84,13 @@ class TestVerify:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
 
+    def test_negative_degree_bound_exits_two(self, capsys):
+        code = main(["verify", "obstruction", "--n", "2", "--degree-bound", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "degree bound must be >= 0, got -1" in captured.err
+
     def test_internal_error_exits_two(self, capsys):
         code = main(["verify", "lifting", "--n", "9"])
         assert code == 2

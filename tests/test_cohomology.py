@@ -94,6 +94,41 @@ class TestPullback:
             assert pullback_tensor(section, body).equals(pullback_tensor(section, self.t10))
 
 
+class TestKeyedSums:
+    """The Cech sections add through sum_by_key, never pairwise."""
+
+    def test_a_section_minus_itself_is_zero(self):
+        omega = omega_representative(3)
+        for section in omega.sections.values():
+            assert (section + (-section)).is_zero
+        for i, j in ((0, 1), (1, 3)):
+            s_ij = expected_coboundary(3, i, j)
+            assert s_ij.components
+            assert not (s_ij - s_ij).components
+
+    def test_equals_is_false_when_the_keys_differ(self):
+        section = omega_representative(3).section("U0", "U1")
+        key, coeff = next(iter(section.components.items()))
+        fewer = TensorSection(section.chart, {key: coeff})
+        assert not section.equals(fewer) and not fewer.equals(section)
+        s_ij = expected_coboundary(2, 0, 1)
+        key, coeff = next(iter(s_ij.components.items()))
+        fewer = HomogeneousSection(2, 1, {key: coeff})
+        assert not s_ij.equals(fewer) and not fewer.equals(s_ij)
+
+    def test_no_pairwise_addition(self, monkeypatch):
+        adds = []
+        real_add = RatFun.__add__
+        monkeypatch.setattr(RatFun, "__add__", lambda a, b: adds.append(1) or real_add(a, b))
+        atlas = reduced_projective_atlas(3)
+        omega = omega_representative(3)
+        pulled = pullback_tensor(omega.section("U0", "U1"), atlas.transition("U2", "U1"))
+        assert not pulled.is_zero
+        assert rewrite_frames(euler_preimage_section(3, 0), 2).components
+        assert lifting_verify(2).all_passed
+        assert adds == []
+
+
 class TestOmegaRepresentative:
     def test_plane_single_term(self):
         omega = omega_representative(2)
@@ -215,6 +250,14 @@ class TestCoboundary:
         solution = coboundary_solve(zero, 1)
         assert solution is not None
         assert all(s.is_zero for s in solution.values())
+
+    def test_negative_degree_bound_rejected(self):
+        omega = omega_representative(2)
+        with pytest.raises(ValueError, match="^degree bound must be >= 0, got -1$"):
+            coboundary_solve(omega, -1)
+        with pytest.raises(ValueError, match="^degree bound must be >= 0, got -2$"):
+            coboundary_refute(omega, -2)
+        assert coboundary_refute(omega, 0).all_passed
 
     def test_one_body_inverse_per_pair(self, monkeypatch):
         inversions = []

@@ -16,6 +16,7 @@ from superpi.rational import (
     rat_mat_inverse,
     rat_solve,
     solve_fraction_system,
+    sum_by_key,
 )
 from superpi.superalgebra import Chart, Pullback, SuperFunction
 
@@ -569,6 +570,34 @@ class TestRatFunSum:
         # A monomial gcd divides by shifting exponents, without any division.
         if family == "monomial":
             assert divisions == []
+
+
+class TestSumByKey:
+    """sum_by_key: the first term at a key as it is, one RatFun.sum per collision."""
+
+    def test_first_terms_are_kept_as_they_are(self):
+        a, b = var("x") / var("y"), const(3)
+        out = sum_by_key({"a": a}, [("b", b)])
+        assert out["a"] is a and out["b"] is b
+
+    def test_one_sum_per_colliding_key(self, monkeypatch):
+        x, y = var("x"), var("y")
+        terms = [("k", x / (y + const(1))), ("k", y / (x + const(2))), ("k", const(5)), ("j", y)]
+        sums = []
+        real_sum = RatFun.sum
+        monkeypatch.setattr(
+            RatFun, "sum", staticmethod(lambda group: sums.append(len(group)) or real_sum(group))
+        )
+        out = sum_by_key({"k": x}, terms)
+        assert sums == [4]
+        assert out["j"] is terms[-1][1]
+        assert out["k"].equals(cross_multiplied_fold([x] + [t for key, t in terms if key == "k"]))
+
+    def test_a_cancelling_key_stays_as_a_zero(self):
+        a = var("x") / (var("y") + const(1))
+        out = sum_by_key({}, [("k", a), ("k", -a), ("j", a)])
+        assert list(out) == ["k", "j"]
+        assert out["k"].is_zero and out["j"] is a
 
 
 class TestLinearAlgebra:

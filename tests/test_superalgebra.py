@@ -149,6 +149,18 @@ class TestSums:
         assert sums == []
 
 
+def pairwise_series_inverse(f):
+    """The inverse of f with each partial sum of its series added pairwise."""
+    b = f.body()
+    inv_body = SuperFunction.from_ratfun(f.chart, b.inverse())
+    x = (f - SuperFunction.from_ratfun(f.chart, b)) * inv_body
+    result = power = SuperFunction.one(f.chart)
+    for _ in range(len(f.chart.odd_coords) // 2):
+        power = -(power * x)
+        result = result + power
+    return result * inv_body
+
+
 class TestInvert:
     def test_plain_variable(self):
         z = SuperFunction.coordinate(U0, "z10")
@@ -166,6 +178,14 @@ class TestInvert:
             parse_superfunction("(1)/(y11) + (-1)/(y11^2)*[xi11*xi21]", chart)
         )
         assert (f * inv).equals(SuperFunction.one(chart))
+
+    def test_matches_the_pairwise_series(self, chart24):
+        rng = random.Random(43)
+        for _ in range(30):
+            f = random_superfunction(rng, chart24, parity="even", max_components=5, invertible=True)
+            inv = f.invert()
+            assert same_representation(inv, pairwise_series_inverse(f))
+            assert (f * inv).equals(SuperFunction.one(chart24))
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
