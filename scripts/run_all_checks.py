@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Run every verification suite at desk scale and print the reports.
 
-Exits nonzero if any check fails.  Obstruction n=3 is the slowest suite
-(about 19 s) and the (2, 4) Pi-Grassmannian suite takes about 1.6 s; pass
---quick to skip the latter.
+Exits nonzero if any check fails.  The whole run takes about 2.5 s on a
+2-core machine with CPython 3.11.7; obstruction n=3 (0.8 s) and the (2, 4)
+Pi-Grassmannian suite (1.1 s) are the slowest.
 """
 
-import argparse
 import sys
 import time
 
@@ -14,10 +13,6 @@ from superpi import suites
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="skip the (2, 4) suite")
-    args = parser.parse_args()
-
     runs = [
         ("pi-projective n=1", lambda: suites.suite_pi_projective(1)),
         ("pi-projective n=2", lambda: suites.suite_pi_projective(2)),
@@ -30,9 +25,8 @@ def main() -> int:
         ("lifting n=3", lambda: suites.suite_lifting(3)),
         ("obstruction n=2", lambda: suites.suite_obstruction(2, 3)),
         ("obstruction n=3", lambda: suites.suite_obstruction(3, 3)),
+        ("pi-grassmannian (2, 4)", suites.suite_pi_grassmannian_24),
     ]
-    if not args.quick:
-        runs.append(("pi-grassmannian (2, 4)", suites.suite_pi_grassmannian_24))
 
     ok = True
     for label, run in runs:

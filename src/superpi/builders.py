@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .atlas import Atlas, TransitionMap, identity_transition
+from .atlas import Atlas, TransitionMap
 from .rational import exact
 from .superalgebra import Chart, SuperFunction
 from .supermatrix import SuperMatrix, grid_mul, smat_inverse
@@ -52,9 +52,47 @@ class BigCell:
     layout: dict[tuple[int, int], tuple[str, int]]
 
 
-def _coordinate_entry(chart: Chart, name: str, sign: int) -> SuperFunction:
-    sf = SuperFunction.coordinate(chart, name)
-    return sf if sign > 0 else -sf
+def _cell(
+    chart_name: str,
+    shape: tuple[int, int, int, int],
+    index_even: tuple[int, ...],
+    index_odd: tuple[int, ...],
+    entry: Callable[[int, int], tuple[str, int]],
+) -> BigCell:
+    """The big cell of shape (d0|d1) x (n|m) whose index columns form the identity.
+
+    entry(r, c) gives the (coordinate name, sign) at every other grid
+    position.  Rows from d0 on and columns from n on are odd, and an entry
+    is even when its row and column have the same parity.  The chart lists
+    each name once, evens apart from odds, in the row-major order of the
+    position where it first appears.
+    """
+    d0, d1, n, m = shape
+    fixed = {*index_even, *(n + c for c in index_odd)}
+    units = {*enumerate(index_even), *((d0 + t, n + c) for t, c in enumerate(index_odd))}
+    layout = {
+        (r, c): entry(r, c)
+        for r in range(d0 + d1)
+        for c in range(n + m)
+        if c not in fixed
+    }
+    names: tuple[dict[str, None], dict[str, None]] = ({}, {})
+    for (r, c), (name, _) in layout.items():
+        names[(r < d0) != (c < n)][name] = None
+    chart = Chart(chart_name, tuple(names[0]), tuple(names[1]))
+    coords = {name: SuperFunction.coordinate(chart, name) for name in chart.coords}
+    zero = SuperFunction.zero(chart)
+    one = SuperFunction.one(chart)
+
+    def value(r: int, c: int) -> SuperFunction:
+        if (r, c) not in layout:
+            return one if (r, c) in units else zero
+        name, sign = layout[(r, c)]
+        return coords[name] if sign > 0 else -coords[name]
+
+    grid = [[value(r, c) for c in range(n + m)] for r in range(d0 + d1)]
+    matrix = SuperMatrix(chart, (d0, d1), (n, m), grid)
+    return BigCell(chart, shape, index_even, index_odd, matrix, layout)
 
 
 def make_big_cell(
@@ -81,72 +119,13 @@ def make_big_cell(
     free_even = [c for c in range(n) if c not in index_even]
     free_odd = [c for c in range(m) if c not in index_odd]
 
-    even_coords = []
-    odd_coords = []
-    names: dict[tuple[str, int, int], str] = {}
-    for r in range(d0):
-        for mi, c in enumerate(free_even):
-            name = even_name(0, r, mi)
-            names[("ee", r, c)] = name
-            even_coords.append(name)
-    for r in range(d1):
-        for mi, c in enumerate(free_odd):
-            name = even_name(1, r, mi)
-            names[("oo", r, c)] = name
-            even_coords.append(name)
-    for r in range(d0):
-        for mi, c in enumerate(free_odd):
-            name = odd_name(0, r, mi)
-            names[("eo", r, c)] = name
-            odd_coords.append(name)
-    for r in range(d1):
-        for mi, c in enumerate(free_even):
-            name = odd_name(1, r, mi)
-            names[("oe", r, c)] = name
-            odd_coords.append(name)
+    def entry(r: int, c: int) -> tuple[str, int]:
+        odd_row, odd_col = r >= d0, c >= n
+        namer = even_name if odd_row == odd_col else odd_name
+        ordinal = free_odd.index(c - n) if odd_col else free_even.index(c)
+        return namer(int(odd_row), r - d0 if odd_row else r, ordinal), 1
 
-    chart = Chart(chart_name, tuple(even_coords), tuple(odd_coords))
-    zero = SuperFunction.zero(chart)
-    one = SuperFunction.one(chart)
-    layout: dict[tuple[int, int], tuple[str, int]] = {}
-    grid: list[list[SuperFunction]] = []
-    for r in range(d0):
-        row = []
-        for c in range(n):
-            if c in index_even:
-                row.append(one if index_even.index(c) == r else zero)
-            else:
-                name = names[("ee", r, c)]
-                layout[(r, c)] = (name, 1)
-                row.append(_coordinate_entry(chart, name, 1))
-        for c in range(m):
-            if c in index_odd:
-                row.append(zero)
-            else:
-                name = names[("eo", r, c)]
-                layout[(r, n + c)] = (name, 1)
-                row.append(_coordinate_entry(chart, name, 1))
-        grid.append(row)
-    for r in range(d1):
-        row = []
-        for c in range(n):
-            if c in index_even:
-                row.append(zero)
-            else:
-                name = names[("oe", r, c)]
-                layout[(d0 + r, c)] = (name, 1)
-                row.append(_coordinate_entry(chart, name, 1))
-        for c in range(m):
-            if c in index_odd:
-                row.append(one if index_odd.index(c) == r else zero)
-            else:
-                name = names[("oo", r, c)]
-                layout[(d0 + r, n + c)] = (name, 1)
-                row.append(_coordinate_entry(chart, name, 1))
-        grid.append(row)
-
-    matrix = SuperMatrix(chart, (d0, d1), (n, m), grid)
-    return BigCell(chart, (d0, d1, n, m), index_even, index_odd, matrix, layout)
+    return _cell(chart_name, (d0, d1, n, m), index_even, index_odd, entry)
 
 
 def make_pi_cell(
@@ -166,49 +145,14 @@ def make_pi_cell(
     """
     index = tuple(index)
     free = [c for c in range(big_n) if c not in index]
-    even_coords = [even_name(r, mi) for r in range(k) for mi in range(len(free))]
-    odd_coords = [odd_name(r, mi) for r in range(k) for mi in range(len(free))]
-    chart = Chart(chart_name, tuple(even_coords), tuple(odd_coords))
-    zero = SuperFunction.zero(chart)
-    one = SuperFunction.one(chart)
-    layout: dict[tuple[int, int], tuple[str, int]] = {}
-    grid: list[list[SuperFunction]] = []
-    for r in range(k):
-        row = []
-        for c in range(big_n):
-            if c in index:
-                row.append(one if index.index(c) == r else zero)
-            else:
-                name = even_name(r, free.index(c))
-                layout[(r, c)] = (name, 1)
-                row.append(_coordinate_entry(chart, name, 1))
-        for c in range(big_n):
-            if c in index:
-                row.append(zero)
-            else:
-                name = odd_name(r, free.index(c))
-                layout[(r, big_n + c)] = (name, 1)
-                row.append(_coordinate_entry(chart, name, 1))
-        grid.append(row)
-    for r in range(k):
-        row = []
-        for c in range(big_n):
-            if c in index:
-                row.append(zero)
-            else:
-                name = odd_name(r, free.index(c))
-                layout[(k + r, c)] = (name, -1)
-                row.append(_coordinate_entry(chart, name, -1))
-        for c in range(big_n):
-            if c in index:
-                row.append(one if index.index(c) == r else zero)
-            else:
-                name = even_name(r, free.index(c))
-                layout[(k + r, big_n + c)] = (name, 1)
-                row.append(_coordinate_entry(chart, name, 1))
-        grid.append(row)
-    matrix = SuperMatrix(chart, (k, k), (big_n, big_n), grid)
-    return BigCell(chart, (k, k, big_n, big_n), index, index, matrix, layout)
+
+    def entry(r: int, c: int) -> tuple[str, int]:
+        odd_row, odd_col = r >= k, c >= big_n
+        namer = even_name if odd_row == odd_col else odd_name
+        sign = -1 if odd_row and not odd_col else 1
+        return namer(r % k, free.index(c % big_n)), sign
+
+    return _cell(chart_name, (k, k, big_n, big_n), index, index, entry)
 
 
 def transformed_cell(zi: BigCell, zj: BigCell) -> SuperMatrix:
@@ -336,7 +280,6 @@ def build_projective_superspace(n: int, m: int) -> Atlas:
     for i, src in enumerate(charts):
         for j, tgt in enumerate(charts):
             if i == j:
-                transitions[(src.name, tgt.name)] = identity_transition(src)
                 continue
             z_ji = SuperFunction.coordinate(src, f"z{j}{i}")
             inv = z_ji.invert()
@@ -380,7 +323,6 @@ def build_pi_projective_closed(n: int, scale: Fraction | int = 1) -> Atlas:
     for i, src in enumerate(charts):
         for j, tgt in enumerate(charts):
             if i == j:
-                transitions[(src.name, tgt.name)] = identity_transition(src)
                 continue
             z_ji = SuperFunction.coordinate(src, f"z{j}{i}")
             th_ji = SuperFunction.coordinate(src, f"th{j}{i}")
@@ -416,6 +358,15 @@ def pi_projective_cell(n: int, i: int) -> BigCell:
     )
 
 
+def _row_wise_names(idx: int) -> tuple[Callable[[int, int], str], Callable[[int, int], str]]:
+    """The rank-2 row-wise scheme of cell idx as (row, ordinal) namers:
+    x/y for the even coordinates, th/xi for their odd partners."""
+    return (
+        lambda r, mi: f"{'xy'[r]}{mi + 1}{idx}",
+        lambda r, mi: f"{('th', 'xi')[r]}{mi + 1}{idx}",
+    )
+
+
 def grassmannian_cells(d0: int, d1: int, n: int, m: int) -> list[BigCell]:
     """All big cells of G(d0|d1; n|m) in lexicographic index order."""
     if not (0 <= d0 <= n and 0 <= d1 <= m) or (d0, d1) == (0, 0):
@@ -438,10 +389,11 @@ def grassmannian_cells(d0: int, d1: int, n: int, m: int) -> list[BigCell]:
                 lambda block, r, mi, i=i: f"th{mi + 1}{i}",
             )
         elif d0 == 2 and d1 == 0 and n == 4:
+            even, odd = _row_wise_names(idx)
             cell = make_big_cell(
                 d0, d1, n, m, i0, i1, f"U{idx}",
-                lambda block, r, mi, idx=idx: f"{'xy'[r]}{mi + 1}{idx}",
-                lambda block, r, mi, idx=idx: f"{('th', 'xi')[r]}{mi + 1}{idx}",
+                lambda block, r, mi: even(r, mi),
+                lambda block, r, mi: odd(r, mi),
             )
         else:
             cell = make_big_cell(
@@ -456,7 +408,8 @@ def grassmannian_cells(d0: int, d1: int, n: int, m: int) -> list[BigCell]:
 def _atlas_from_cells(
     cells: list[BigCell], pi_verdicts: dict[tuple[str, str], bool] | None = None
 ) -> Atlas:
-    """Atlas with one transition per ordered pair of cells, each derived once.
+    """Atlas with one transition per ordered pair of distinct cells, each
+    derived once; Atlas adds the identities.
 
     With pi_verdicts, every transformed cell is also tested for
     Pi-symmetry and the verdict stored under (source, target), in pair
@@ -466,10 +419,9 @@ def _atlas_from_cells(
     transitions: dict[tuple[str, str], TransitionMap] = {}
     for zi in cells:
         for zj in cells:
-            pair = (zi.chart.name, zj.chart.name)
             if zi is zj:
-                transitions[pair] = identity_transition(zi.chart)
                 continue
+            pair = (zi.chart.name, zj.chart.name)
             w = transformed_cell(zi, zj)
             if pi_verdicts is not None:
                 pi_verdicts[pair] = check_pi_symmetric(w)
@@ -487,16 +439,10 @@ def pi_grassmannian_cells(k: int, big_n: int) -> list[BigCell]:
     if k == 1 and big_n >= 2:
         return [pi_projective_cell(big_n - 1, i) for i in range(big_n)]
     if k == 2 and big_n == 4:
-        cells = []
-        for idx, index in enumerate(combinations(range(4), 2), start=1):
-            cells.append(
-                make_pi_cell(
-                    2, 4, index, f"U{idx}",
-                    lambda r, mi, idx=idx: f"{'xy'[r]}{mi + 1}{idx}",
-                    lambda r, mi, idx=idx: f"{('th', 'xi')[r]}{mi + 1}{idx}",
-                )
-            )
-        return cells
+        return [
+            make_pi_cell(2, 4, index, f"U{idx}", *_row_wise_names(idx))
+            for idx, index in enumerate(combinations(range(4), 2), start=1)
+        ]
     raise ValueError(
         f"unsupported Pi-Grassmannian shape (k={k}, N={big_n}); "
         "only k=1 and (k, N) = (2, 4) are exposed"

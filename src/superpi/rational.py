@@ -75,6 +75,7 @@ Key = TypeVar("Key", bound=Hashable)
 Rational = int | Fraction
 
 _INT_ONLY = frozenset({int})
+_RATIONAL = frozenset({int, Fraction})
 
 
 def exact(value) -> Rational:
@@ -884,7 +885,7 @@ def nonzero(value) -> bool:
     return not value.is_zero
 
 
-FRACTIONS: Field = (bool, bool, lambda value: 1 / value)
+FRACTIONS: Field = (bool, bool, lambda value: Fraction(1, value))
 RATFUNS: Field = (nonzero, nonzero, lambda value: value.inverse())
 
 
@@ -894,7 +895,9 @@ def gauss_jordan(aug: list[list], n_cols: int, field: Field) -> list[int]:
     The pivot is the first pivotable entry at or below the current row; its
     row is swapped up and scaled by the inverse, then the other rows are
     cleared top to bottom, skipping zeros.  Columns without a pivot are
-    skipped, and the reduction stops when the rows run out.
+    skipped, and the reduction stops when the rows run out.  Scaling and
+    clearing touch only the columns where the pivot row is nonzero: every
+    other entry would change by a zero multiple.
     """
     nonzero_test, pivotable, inverse = field
     pivots: list[int] = []
@@ -904,12 +907,16 @@ def gauss_jordan(aug: list[list], n_cols: int, field: Field) -> list[int]:
         if pivot is None:
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = inverse(aug[row][col])
-        aug[row] = [entry * inv for entry in aug[row]]
+        pivot_row = aug[row]
+        support = [c for c, entry in enumerate(pivot_row) if nonzero_test(entry)]
+        inv = inverse(pivot_row[col])
+        for c in support:
+            pivot_row[c] = pivot_row[c] * inv
         for r, other in enumerate(aug):
             if r != row and nonzero_test(other[col]):
                 f = other[col]
-                aug[r] = [a - f * b for a, b in zip(other, aug[row])]
+                for c in support:
+                    other[c] = other[c] - f * pivot_row[c]
         pivots.append(col)
         if len(pivots) == len(aug):
             break
@@ -947,21 +954,29 @@ def rat_mat_inverse(matrix: Sequence[Sequence[RatFun]]) -> list[list[RatFun]]:
 
 
 def solve_fraction_system(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
 ) -> Optional[list[Fraction]]:
     """One exact solution of a (possibly overdetermined) linear system over Q.
 
     Returns None when the system is inconsistent; free variables are set
-    to zero.  Row-reduction is plain Gaussian elimination over Fraction.
+    to zero.  Entries must be int or Fraction and are used as they are; a
+    float raises TypeError.  The rows are copied, never changed, and reduced
+    by gauss_jordan, whose row operations run only over the pivot row's
+    nonzero columns, so a sparse system costs little more than its nonzeros.
     """
     if not rows:
         return []
     n = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    aug = []
+    for row, value in zip(rows, rhs, strict=True):
+        entries = [*row, value]
+        if not _RATIONAL.issuperset(map(type, entries)):
+            raise TypeError("solve_fraction_system takes int and Fraction entries only")
+        aug.append(entries)
     pivots = gauss_jordan(aug, n, FRACTIONS)
     if any(row[n] != 0 for row in aug[len(pivots):]):
         return None
     solution = [Fraction(0)] * n
     for row, col in zip(aug, pivots):
-        solution[col] = row[n]
+        solution[col] = Fraction(row[n])
     return solution

@@ -1,5 +1,6 @@
 """Big cells, derived transitions, Pi-symmetry and the named atlases."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -16,6 +17,7 @@ from superpi.builders import (
     derive_transition_from_cells,
     grassmannian_cells,
     make_big_cell,
+    make_pi_cell,
     pi_grassmannian_cells,
     pi_projective_cell,
     reduce_atlas,
@@ -24,7 +26,7 @@ from superpi.builders import (
 from superpi.rational import RatFun
 from superpi.report import FAIL, PASS
 from superpi.suites import suite_pi_grassmannian_24
-from superpi.superalgebra import SuperFunction, parse_superfunction
+from superpi.superalgebra import Chart, SuperFunction, parse_superfunction
 from superpi.supermatrix import SuperMatrix
 
 
@@ -266,3 +268,162 @@ class TestPiVerdictPlumbing:
         with pytest.raises(ValueError, match="U1->U0 lost Pi-symmetry"):
             build_pi_grassmannian(1, 3)
         assert calls["check_pi_symmetric"] == len(calls["transformed_cell"]) == 6
+
+
+def _signed(chart, name, sign):
+    sf = SuperFunction.coordinate(chart, name)
+    return sf if sign > 0 else -sf
+
+
+def reference_pi_cell(k, big_n, index, chart_name, even_name, odd_name):
+    """The Pi-cell grid loop make_pi_cell replaced, kept as a reference."""
+    index = tuple(index)
+    free = [c for c in range(big_n) if c not in index]
+    even_coords = [even_name(r, mi) for r in range(k) for mi in range(len(free))]
+    odd_coords = [odd_name(r, mi) for r in range(k) for mi in range(len(free))]
+    chart = Chart(chart_name, tuple(even_coords), tuple(odd_coords))
+    zero, one = SuperFunction.zero(chart), SuperFunction.one(chart)
+    layout, grid = {}, []
+    for r in range(k):
+        row = []
+        for c in range(big_n):
+            if c in index:
+                row.append(one if index.index(c) == r else zero)
+            else:
+                layout[(r, c)] = (even_name(r, free.index(c)), 1)
+                row.append(_signed(chart, *layout[(r, c)]))
+        for c in range(big_n):
+            if c in index:
+                row.append(zero)
+            else:
+                layout[(r, big_n + c)] = (odd_name(r, free.index(c)), 1)
+                row.append(_signed(chart, *layout[(r, big_n + c)]))
+        grid.append(row)
+    for r in range(k):
+        row = []
+        for c in range(big_n):
+            if c in index:
+                row.append(zero)
+            else:
+                layout[(k + r, c)] = (odd_name(r, free.index(c)), -1)
+                row.append(_signed(chart, *layout[(k + r, c)]))
+        for c in range(big_n):
+            if c in index:
+                row.append(one if index.index(c) == r else zero)
+            else:
+                layout[(k + r, big_n + c)] = (even_name(r, free.index(c)), 1)
+                row.append(_signed(chart, *layout[(k + r, big_n + c)]))
+        grid.append(row)
+    matrix = SuperMatrix(chart, (k, k), (big_n, big_n), grid)
+    return builders.BigCell(chart, (k, k, big_n, big_n), index, index, matrix, layout)
+
+
+def reference_big_cell(d0, d1, n, m, index_even, index_odd, chart_name, even_name, odd_name):
+    """The generic grid loop make_big_cell replaced, kept as a reference."""
+    index_even = tuple(index_even)
+    index_odd = tuple(index_odd)
+    free_even = [c for c in range(n) if c not in index_even]
+    free_odd = [c for c in range(m) if c not in index_odd]
+    even_coords, odd_coords, names = [], [], {}
+    for r in range(d0):
+        for mi, c in enumerate(free_even):
+            names[("ee", r, c)] = even_name(0, r, mi)
+            even_coords.append(names[("ee", r, c)])
+    for r in range(d1):
+        for mi, c in enumerate(free_odd):
+            names[("oo", r, c)] = even_name(1, r, mi)
+            even_coords.append(names[("oo", r, c)])
+    for r in range(d0):
+        for mi, c in enumerate(free_odd):
+            names[("eo", r, c)] = odd_name(0, r, mi)
+            odd_coords.append(names[("eo", r, c)])
+    for r in range(d1):
+        for mi, c in enumerate(free_even):
+            names[("oe", r, c)] = odd_name(1, r, mi)
+            odd_coords.append(names[("oe", r, c)])
+    chart = Chart(chart_name, tuple(even_coords), tuple(odd_coords))
+    zero, one = SuperFunction.zero(chart), SuperFunction.one(chart)
+    layout, grid = {}, []
+    for r in range(d0):
+        row = []
+        for c in range(n):
+            if c in index_even:
+                row.append(one if index_even.index(c) == r else zero)
+            else:
+                layout[(r, c)] = (names[("ee", r, c)], 1)
+                row.append(_signed(chart, *layout[(r, c)]))
+        for c in range(m):
+            if c in index_odd:
+                row.append(zero)
+            else:
+                layout[(r, n + c)] = (names[("eo", r, c)], 1)
+                row.append(_signed(chart, *layout[(r, n + c)]))
+        grid.append(row)
+    for r in range(d1):
+        row = []
+        for c in range(n):
+            if c in index_even:
+                row.append(zero)
+            else:
+                layout[(d0 + r, c)] = (names[("oe", r, c)], 1)
+                row.append(_signed(chart, *layout[(d0 + r, c)]))
+        for c in range(m):
+            if c in index_odd:
+                row.append(one if index_odd.index(c) == r else zero)
+            else:
+                layout[(d0 + r, n + c)] = (names[("oo", r, c)], 1)
+                row.append(_signed(chart, *layout[(d0 + r, n + c)]))
+        grid.append(row)
+    matrix = SuperMatrix(chart, (d0, d1), (n, m), grid)
+    return builders.BigCell(chart, (d0, d1, n, m), index_even, index_odd, matrix, layout)
+
+
+def assert_same_cell(cell, reference):
+    assert cell.chart == reference.chart
+    assert cell.shape == reference.shape
+    assert (cell.index_even, cell.index_odd) == (reference.index_even, reference.index_odd)
+    assert list(cell.layout.items()) == list(reference.layout.items())
+    assert cell.matrix.row_shape == reference.matrix.row_shape
+    assert cell.matrix.col_shape == reference.matrix.col_shape
+    for row, ref_row in zip(cell.matrix.entries, reference.matrix.entries, strict=True):
+        for entry, ref in zip(row, ref_row, strict=True):
+            assert entry.to_str() == ref.to_str()
+
+
+class TestOneGridWalk:
+    """make_pi_cell and make_big_cell against the loops they replaced, on
+    shapes the golden corpus does not reach."""
+
+    @pytest.mark.parametrize(
+        "k, big_n, indices",
+        [
+            (1, 3, [(0,), (1,), (2,)]),
+            (2, 4, list(combinations(range(4), 2))),
+            (2, 5, list(combinations(range(5), 2))),
+            (3, 6, [(0, 2, 4)]),
+        ],
+    )
+    def test_pi_cells_match_the_reference(self, k, big_n, indices):
+        for index in indices:
+            args = (k, big_n, index, "U", lambda r, mi: f"x{r}_{mi}", lambda r, mi: f"t{r}_{mi}")
+            assert_same_cell(make_pi_cell(*args), reference_pi_cell(*args))
+
+    def test_generic_cells_match_the_reference(self):
+        cells = grassmannian_cells(1, 1, 2, 2)
+        combos = [(i0, i1) for i0 in combinations(range(2), 1) for i1 in combinations(range(2), 1)]
+        assert len(cells) == len(combos) == 4
+        for idx, (cell, (i0, i1)) in enumerate(zip(cells, combos), start=1):
+            reference = reference_big_cell(
+                1, 1, 2, 2, i0, i1, f"U{idx}",
+                lambda block, r, mi: f"{'xw'[block]}{r + 1}_{mi + 1}",
+                lambda block, r, mi: f"{('et', 'ph')[block]}{r + 1}_{mi + 1}",
+            )
+            assert_same_cell(cell, reference)
+
+    def test_generic_cell_with_two_rows_of_each_parity(self):
+        args = (
+            2, 2, 4, 3, (1, 3), (0, 2), "G",
+            lambda block, r, mi: f"x{block}{r}{mi}",
+            lambda block, r, mi: f"e{block}{r}{mi}",
+        )
+        assert_same_cell(make_big_cell(*args), reference_big_cell(*args))

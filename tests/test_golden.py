@@ -37,6 +37,7 @@ _VERIFY = (
     ("verify", "lifting", "--n", "2"),
     ("verify", "lifting", "--n", "3"),
     ("verify", "obstruction", "--n", "2"),
+    ("verify", "obstruction", "--n", "3"),
 )
 CALLS = (
     *(argv + fmt for argv in _VERIFY for fmt in ((), ("--format", "json"))),

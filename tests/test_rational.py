@@ -694,3 +694,118 @@ class TestLinearAlgebra:
         both = {(True, True), (True, False), (False, True), (False, False)}
         assert {(c, deficient) for c, deficient, _ in seen} == both
         assert {(c, zero_column) for c, _, zero_column in seen} == both
+
+
+def dense_gauss_jordan(aug, n_cols, field):
+    """The dense kernel gauss_jordan replaced: every row operation over every column."""
+    nonzero_test, pivotable, inverse = field
+    pivots = []
+    for col in range(n_cols):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(aug)) if pivotable(aug[r][col])), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = inverse(aug[row][col])
+        aug[row] = [entry * inv for entry in aug[row]]
+        for r, other in enumerate(aug):
+            if r != row and nonzero_test(other[col]):
+                f = other[col]
+                aug[r] = [a - f * b for a, b in zip(other, aug[row])]
+        pivots.append(col)
+        if len(pivots) == len(aug):
+            break
+    return pivots
+
+
+def sparse_systems(seed, count):
+    """Seeded sparse systems over Q: rank-deficient ones, with a consistent
+    right-hand side half of the time and a random one otherwise."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(2, 12), rng.randint(2, 12)
+        base = [
+            [
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.3 else Fraction(0)
+                for _ in range(n)
+            ]
+            for _ in range(rng.randint(1, min(m, n)))
+        ]
+        rows = [
+            [sum((rng.choice((0, 0, 1, -2)) * b[c] for b in base), Fraction(0)) for c in range(n)]
+            for _ in range(m)
+        ]
+        if rng.random() < 0.5:
+            x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+            rhs = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in rows]
+        else:
+            rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
+        yield rows, rhs
+
+
+def dense_solve(rows, rhs):
+    n = len(rows[0])
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = dense_gauss_jordan(aug, n, rational.FRACTIONS)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * n
+    for row, col in zip(aug, pivots):
+        solution[col] = row[n]
+    return solution
+
+
+class TestSupportOnlyElimination:
+    def test_matches_the_dense_kernel_on_sparse_systems(self):
+        seen = set()
+        for rows, rhs in sparse_systems(5, 150):
+            n = len(rows[0])
+            sparse_aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+            dense_aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+            pivots = rational.gauss_jordan(sparse_aug, n, rational.FRACTIONS)
+            assert pivots == dense_gauss_jordan(dense_aug, n, rational.FRACTIONS)
+            assert sparse_aug == dense_aug
+            before = [list(row) for row in rows]
+            sol = solve_fraction_system(rows, rhs)
+            assert rows == before
+            assert sol == dense_solve(rows, rhs)
+            seen.add((sol is not None, len(pivots) < n))
+        # inconsistent systems and consistent ones with free unknowns both ran
+        assert {(False, True), (True, True)} <= seen
+
+    def test_int_rows_stay_exact(self):
+        rows = [[2, 1, 0], [1, 3, 0], [0, 0, 0]]
+        aug = [row + [b] for row, b in zip(rows, [3, 4, 0])]
+        assert rational.gauss_jordan(aug, 3, rational.FRACTIONS) == [0, 1]
+        assert all(type(entry) in (int, Fraction) for row in aug for entry in row)
+        sol = solve_fraction_system(rows, [3, 4, 0])
+        assert sol == [Fraction(1), Fraction(1), Fraction(0)]
+        assert all(type(v) is Fraction for v in sol)
+
+    def test_float_entry_rejected(self):
+        with pytest.raises(TypeError):
+            solve_fraction_system([[Fraction(1), 0.5]], [Fraction(1)])
+        with pytest.raises(TypeError):
+            solve_fraction_system([[Fraction(1), 2]], [1.0])
+
+    def test_ratfun_inverse_matches_the_dense_kernel(self):
+        rng = random.Random(23)
+        zero, one = const(0), const(1)
+        for _ in range(8):
+            size = rng.randint(2, 4)
+            while True:
+                matrix = [
+                    [random_ratfun(rng, V) if rng.random() < 0.5 else zero for _ in range(size)]
+                    for _ in range(size)
+                ]
+                aug = [
+                    row + [one if i == j else zero for j in range(size)]
+                    for i, row in enumerate(matrix)
+                ]
+                if len(dense_gauss_jordan(aug, size, rational.RATFUNS)) == size:
+                    break
+            inverse = rat_mat_inverse(matrix)
+            for got_row, ref_row in zip(inverse, (row[size:] for row in aug)):
+                for got, ref in zip(got_row, ref_row):
+                    assert got.num.variables == ref.num.variables
+                    assert (got.num.terms, got.den.terms) == (ref.num.terms, ref.den.terms)
