@@ -51,6 +51,15 @@ superfunction or of a Cech section, go through sum_by_key, the one keyed
 accumulation beside RatFun.sum: a key with one term keeps it as it is,
 and a key with several gets one RatFun.sum.
 
+The inner loops stay in C where they can.  A product with a one-term
+factor is one dict comprehension, since shifting distinct exponents keeps
+them distinct and nothing cancels; exponents are added and subtracted
+with map over operator.add and operator.sub, and the graded-lex maximum
+is max over (total degree, exponents) pairs.  The coprimality probe's
+values are kept on each polynomial, so a polynomial is evaluated at most
+once per probe point, and the memo dies with it.  Poly and RatFun fill
+their slots through the slot descriptors' own setters.
+
 Equality of rational functions is decided by cross-multiplication,
 a.num*b.den == b.num*a.den, which is exact and never depends on which
 representative the normalisation happened to keep.
@@ -58,7 +67,8 @@ representative the normalisation happened to keep.
 All values are immutable after construction and all operations are pure,
 so everything here can be shared freely across threads.  The gcd cache is
 the only shared state; it holds verified results only, so a lookup can
-miss but never mislead.
+miss but never mislead.  A polynomial's cached hash and probe values are
+functions of its terms, so filling them never changes its value.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import sub
+from operator import add, sub
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 Exponent = tuple[int, ...]
@@ -111,7 +121,7 @@ def _grlex(exps: Exponent) -> tuple[int, Exponent]:
 class Poly:
     """Sparse exact polynomial over Q in a fixed ordered set of variables."""
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "terms", "_hash", "_probes")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Rational]):
         variables = tuple(variables)
@@ -126,18 +136,20 @@ class Poly:
                 coeff = exact(coeff)
             if coeff != 0:
                 clean[tuple(exps)] = coeff
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_variables(self, variables)
+        _set_terms(self, clean)
+        _set_hash(self, None)
+        _set_probes(self, None)
 
     @classmethod
     def _raw(cls, variables: tuple[str, ...], terms: dict[Exponent, Rational]) -> Poly:
         # Internal fast path: terms must already be canonical (tuple keys,
         # nonzero int or non-integral Fraction values, correct arity).
-        self = object.__new__(cls)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+        self = _new(cls)
+        _set_variables(self, variables)
+        _set_terms(self, terms)
+        _set_hash(self, None)
+        _set_probes(self, None)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -179,7 +191,7 @@ class Poly:
             return 0
         if len(self.terms) == 1:
             exps, coeff = next(iter(self.terms.items()))
-            if all(e == 0 for e in exps):
+            if not any(exps):
                 return coeff
         return None
 
@@ -187,8 +199,9 @@ class Poly:
         """Leading term under graded-lex order (requires a nonzero poly)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex)
-        return exps, self.terms[exps]
+        terms = self.terms
+        _, exps = max(zip(map(sum, terms), terms))
+        return exps, terms[exps]
 
     def homogeneous_degree(self) -> Optional[int]:
         """Common total degree of all terms, or None if inhomogeneous/zero."""
@@ -232,15 +245,25 @@ class Poly:
 
     def __mul__(self, other: Poly) -> Poly:
         self._require_same_variables(other)
-        out: dict[Exponent, Rational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                value = out.get(exps, 0) + c1 * c2
-                if value == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = value
+        a, b = self.terms, other.terms
+        # One term times distinct exponents gives distinct exponents and
+        # nonzero coefficients: nothing to collect and nothing cancels.
+        if len(b) == 1:
+            ((e2, c2),) = b.items()
+            out = {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+        elif len(a) == 1:
+            ((e1, c1),) = a.items()
+            out = {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+        else:
+            out = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    exps = tuple(map(add, e1, e2))
+                    value = out.get(exps, 0) + c1 * c2
+                    if value == 0:
+                        out.pop(exps, None)
+                    else:
+                        out[exps] = value
         return Poly._raw(self.variables, _canonical(out))
 
     def scale(self, value) -> Poly:
@@ -284,7 +307,7 @@ class Poly:
         cached = self._hash
         if cached is None:
             cached = hash((self.variables, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", cached)
+            _set_hash(self, cached)
         return cached
 
     # -- printing --------------------------------------------------------
@@ -324,6 +347,15 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
+# The slot setters write past the immutability guard at half the cost of
+# object.__setattr__, which looks the slot up by name on every call.
+_new = object.__new__
+_set_variables = Poly.variables.__set__
+_set_terms = Poly.terms.__set__
+_set_hash = Poly._hash.__set__
+_set_probes = Poly._probes.__set__
+
+
 def _frac_str(value: Rational) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -340,15 +372,15 @@ class RatFun:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         num, den = _normalize_pair(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def _raw(cls, num: Poly, den: Poly) -> RatFun:
         # Internal fast path: (num, den) must already be in normal form.
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self = _new(cls)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -488,6 +520,8 @@ class RatFun:
 
     def _unit_sign(self) -> int:
         """1 or -1 when this is the constant 1 or -1, else 0."""
+        if len(self.num.terms) != 1 or len(self.den.terms) != 1:
+            return 0
         if self.den.is_constant() != 1:
             return 0
         value = self.num.is_constant()
@@ -549,6 +583,10 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({self.to_str()})"
+
+
+_set_num = RatFun.num.__set__
+_set_den = RatFun.den.__set__
 
 
 def sum_by_key(
@@ -678,6 +716,22 @@ def _eval_int(p: Poly, point: tuple[int, ...]) -> Rational:
     return total
 
 
+def _probe(p: Poly, k: int) -> int:
+    """The numerator of p at probe point k, evaluated once per polynomial.
+
+    The values are kept in p's _probes slot, so they live and die with p;
+    like _hash they play no part in equality or hashing.
+    """
+    values = p._probes
+    if values is None:
+        values = [None] * len(_PROBE_POINTS)
+        _set_probes(p, values)
+    value = values[k]
+    if value is None:
+        value = values[k] = _eval_int(p, _probe_points(len(p.variables))[k]).numerator
+    return value
+
+
 def _probably_coprime(a: Poly, b: Poly) -> bool:
     """Cheap one-sided coprimality filter.
 
@@ -686,10 +740,8 @@ def _probably_coprime(a: Poly, b: Poly) -> bool:
     of 0 (both polynomials vanish) says nothing.  A False answer only means
     "worth trying"; skipping a real factor merely costs size.
     """
-    for point in _probe_points(len(a.variables)):
-        va = _eval_int(a, point)
-        vb = _eval_int(b, point)
-        if 0 < gcd(va.numerator, vb.numerator) <= _PROBE_BOUND:
+    for k in range(len(_PROBE_POINTS)):
+        if 0 < gcd(_probe(a, k), _probe(b, k)) <= _PROBE_BOUND:
             return True
     return False
 
@@ -705,15 +757,15 @@ def poly_exact_div(a: Poly, b: Poly) -> Optional[Poly]:
     remainder = dict(a.terms)
     quotient: dict[Exponent, Rational] = {}
     while remainder:
-        exps = max(remainder, key=_grlex)
+        _, exps = max(zip(map(sum, remainder), remainder))
         coeff = remainder[exps]
-        q_exp = tuple(x - y for x, y in zip(exps, b_lead_exp))
+        q_exp = tuple(map(sub, exps, b_lead_exp))
         if any(e < 0 for e in q_exp):
             return None
         q_coeff = _exact_div(coeff, b_lead_coeff)
         quotient[q_exp] = q_coeff
         for b_exp, b_coeff in b.terms.items():
-            key = tuple(x + y for x, y in zip(q_exp, b_exp))
+            key = tuple(map(add, q_exp, b_exp))
             value = remainder.get(key, 0) - q_coeff * b_coeff
             if value == 0:
                 remainder.pop(key, None)

@@ -10,10 +10,14 @@ coordinates:
 
 Zero components are never stored.  Multiplication merges the odd monomials
 and picks up the sign of the sorting permutation; a repeated odd name kills
-the term (theta^2 = 0).  Products and sums gather the terms that land on
-one odd monomial and add them with rational.sum_by_key, one RatFun.sum per
-monomial; every other sum here (the terms of a geometric series, of a
-parsed expression, of a pulled-back function) is one SuperFunction.sum.
+the term (theta^2 = 0).  Each chart keeps a table of these merges, from
+a pair of odd monomials to (sign, merged monomial), filled on first use;
+a chart with q odd coordinates has at most 4^q entries, and the table is
+not a dataclass field, so chart equality, hashing and repr ignore it.
+Products and sums gather the terms that land on one odd monomial and add
+them with rational.sum_by_key, one RatFun.sum per monomial; every other
+sum here (the terms of a geometric series, of a parsed expression, of a
+pulled-back function) is one SuperFunction.sum.
 Even elements with an invertible body (nonzero degree-0 part) are
 invertible through a finite geometric series, since the nilpotent
 remainder has order at most floor(q/2)+1 in products.
@@ -25,7 +29,8 @@ The canonical text form round-trips exactly through parse_superfunction:
 components are printed in increasing (length, position) order of their odd
 monomial, e.g. "(z20)/(z10) + (1)/(z10^2)*[th10*th20]".
 
-Values are immutable and every operation is pure.
+Values are immutable and every operation is pure; a chart's merge table
+only caches what its coordinates determine.
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ class Chart:
         names = self.even_coords + self.odd_coords
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate coordinate names in chart {self.name!r}")
+        # (m1, m2) -> (sign, merged monomial), filled by _merge_odd.  Not a
+        # field, so equality, hashing and repr ignore it.
+        object.__setattr__(self, "_odd_products", {})
 
     @property
     def coords(self) -> tuple[str, ...]:
@@ -77,12 +85,22 @@ def _merge_odd(m1: OddMonomial, m2: OddMonomial, chart: Chart) -> tuple[int, Odd
     """Concatenate two sorted odd monomials; return (sign, sorted monomial).
 
     The sign is that of the merging permutation; a repeated name returns
-    sign 0 (the product vanishes).
+    sign 0 (the product vanishes).  Each pair is merged once per chart and
+    read from the chart's table after that.
     """
     if not m1:
         return 1, m2
     if not m2:
         return 1, m1
+    products = chart._odd_products
+    merged = products.get((m1, m2))
+    if merged is None:
+        merged = products[(m1, m2)] = _merge_positions(m1, m2, chart)
+    return merged
+
+
+def _merge_positions(m1: OddMonomial, m2: OddMonomial, chart: Chart) -> tuple[int, OddMonomial]:
+    """_merge_odd for two nonempty monomials, without the table."""
     pos = chart.odd_position
     left = [pos(x) for x in m1]
     right = [pos(x) for x in m2]

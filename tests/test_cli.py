@@ -1,10 +1,24 @@
 """Command-line interface: suites, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from superpi.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(argv):
+    """`python -m superpi argv` in a fresh interpreter that imports from src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "superpi", *argv], env=env, capture_output=True, timeout=120
+    )
 
 
 class TestVerify:
@@ -151,3 +165,18 @@ class TestDump:
              "--source", "U0", "--target", "U7"]
         )
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_m_superpi_prints_what_main_prints(self, capsys):
+        argv = ["verify", "pi-projective", "--n", "1", "--format", "json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+        done = run_module(argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected
+
+    def test_python_m_superpi_exits_with_the_usage_code(self):
+        done = run_module(["verify", "pi-projective"])
+        assert done.returncode == 2
+        assert b"--n" in done.stderr

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -255,6 +256,149 @@ class TestIntegerCore:
             RatFun.from_poly(x).scale(0.5)
 
 
+def reference_mul(p, q):
+    """The product by the plain double loop: collect, drop zeros, then canonical ints."""
+    p._require_same_variables(q)
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            value = out.get(exps, 0) + c1 * c2
+            if value == 0:
+                out.pop(exps, None)
+            else:
+                out[exps] = value
+    return {e: rational.exact(c) for e, c in out.items()}
+
+
+def reference_leading(terms):
+    exps = max(terms, key=rational._grlex)
+    return exps, terms[exps]
+
+
+def reference_exact_div(a, b):
+    """poly_exact_div's terms by the max(key=_grlex) and generator loop, or None."""
+    b_exp, b_coeff = reference_leading(b.terms)
+    remainder, quotient = dict(a.terms), {}
+    while remainder:
+        exps, coeff = reference_leading(remainder)
+        q_exp = tuple(x - y for x, y in zip(exps, b_exp))
+        if any(e < 0 for e in q_exp):
+            return None
+        q_coeff = rational._exact_div(coeff, b_coeff)
+        quotient[q_exp] = q_coeff
+        for e, c in b.terms.items():
+            key = tuple(x + y for x, y in zip(q_exp, e))
+            value = remainder.get(key, 0) - q_coeff * c
+            if value == 0:
+                remainder.pop(key, None)
+            else:
+                remainder[key] = value
+    return quotient
+
+
+def mixed_poly(rng, max_terms):
+    """0 to max_terms terms with int or Fraction coefficients, cancellations likely."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        coeff = rng.choice((-2, -1, 1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)))
+        terms[tuple(rng.randint(0, 2) for _ in V)] = coeff
+    return poly(terms)
+
+
+def typed_items(p):
+    """p's terms in dict order, each coefficient with its type."""
+    return [(e, c, type(c)) for e, c in p.terms.items()]
+
+
+class TestInnerLoops:
+    """Products, leading terms, exact division and unit tests against plain references."""
+
+    def test_products_match_the_double_loop(self):
+        rng = random.Random(61)
+        one_term = 0
+        for _ in range(600):
+            p, q = mixed_poly(rng, 4), mixed_poly(rng, 4)
+            one_term += len(p.terms) == 1 or len(q.terms) == 1
+            expected = reference_mul(p, q)
+            product = p * q
+            assert product.terms == expected
+            assert all(type(c) is type(expected[e]) for e, c in product.terms.items())
+        assert one_term > 100
+
+    def test_one_term_products_keep_the_order_of_the_other_factor(self):
+        rng = random.Random(62)
+        for _ in range(200):
+            p, m = mixed_poly(rng, 5), poly({(1, 0, 2): rng.choice((-1, 2, Fraction(1, 3)))})
+            for product, ordered in ((m * p, p), (p * m, p)):
+                assert [e for e, _, _ in typed_items(product)] == [
+                    tuple(map(sum, zip(e, (1, 0, 2)))) for e in ordered.terms
+                ]
+
+    def test_integral_fraction_products_are_ints(self):
+        half_x = poly({(1, 0, 0): Fraction(3, 2)})
+        two_thirds = poly({(0, 1, 0): Fraction(2, 3), (0, 0, 1): Fraction(4, 3)})
+        assert typed_items(half_x * two_thirds) == [((1, 1, 0), 1, int), ((1, 0, 1), 2, int)]
+        assert typed_items(two_thirds * half_x) == [((1, 1, 0), 1, int), ((1, 0, 1), 2, int)]
+        mixed = poly({(1, 0, 0): Fraction(3, 2), (0, 0, 0): Fraction(1, 3)})
+        assert typed_items(mixed * mixed) == [
+            ((2, 0, 0), Fraction(9, 4), Fraction),
+            ((1, 0, 0), 1, int),
+            ((0, 0, 0), Fraction(1, 9), Fraction),
+        ]
+
+    def test_zero_and_one_term_operands(self):
+        zero, x = poly({}), poly({(1, 0, 0): 2})
+        y = poly({(0, 1, 0): Fraction(-1, 2)})
+        assert (zero * zero).terms == {}
+        assert (zero * x).terms == {} and (x * zero).terms == {}
+        assert typed_items(x * y) == [((1, 1, 0), -1, int)]
+        assert typed_items(y * y) == [((0, 2, 0), Fraction(1, 4), Fraction)]
+
+    def test_mismatched_variables(self):
+        other_one = Poly(("x",), {(1,): 1})
+        other_two = Poly(("x",), {(1,): 1, (0,): 1})
+        for p in (poly({}), poly({(1, 0, 0): 1}), poly({(1, 0, 0): 1, (0, 0, 0): 2})):
+            for q in (other_one, other_two):
+                with pytest.raises(ValueError, match="mismatched variable sets"):
+                    p * q
+                with pytest.raises(ValueError, match="mismatched variable sets"):
+                    q * p
+
+    def test_leading_and_exact_division_match_the_references(self):
+        rng = random.Random(63)
+        for _ in range(300):
+            a, b = mixed_poly(rng, 5), mixed_poly(rng, 3)
+            if b.is_zero:
+                continue
+            assert b.leading() == reference_leading(b.terms)
+            for dividend in (a * b, a):
+                quotient = poly_exact_div(dividend, b)
+                expected = reference_exact_div(dividend, b)
+                assert (None if quotient is None else quotient.terms) == expected
+
+    def test_is_constant(self):
+        assert poly({}).is_constant() == 0
+        assert poly({(0, 0, 0): Fraction(3, 2)}).is_constant() == Fraction(3, 2)
+        assert poly({(0, 0, 1): 1}).is_constant() is None
+        assert poly({(0, 0, 0): 1, (1, 0, 0): 1}).is_constant() is None
+
+    def test_unit_sign(self):
+        x, y = var("x"), var("y")
+        cases = [
+            (const(1), 1),
+            (const(-1), -1),
+            (const(2), 0),
+            (const(Fraction(1, 2)), 0),
+            (RatFun.zero(V), 0),
+            (x, 0),
+            ((x + y) / x, 0),
+            (x * y + y, 0),
+        ]
+        for value, sign in cases:
+            assert value._unit_sign() == sign, value
+
+
 def _int_poly(rng, min_terms, max_terms):
     terms = {}
     size = rng.randint(min_terms, max_terms)
@@ -383,6 +527,64 @@ class TestCoprimeProbe:
         a, b = f * (y + Poly.const(V, 1)), f * (y + Poly.const(V, 2))
         assert not rational._probably_coprime(a, b)
         assert poly_gcd(a, b) == f
+
+
+def probe_from_scratch(a, b):
+    """_probably_coprime with every value evaluated anew."""
+    for point in rational._probe_points(len(a.variables)):
+        va, vb = rational._eval_int(a, point), rational._eval_int(b, point)
+        if 0 < gcd(va.numerator, vb.numerator) <= rational._PROBE_BOUND:
+            return True
+    return False
+
+
+def probe_pairs(seed, count):
+    """Planted, x_i - x_j, commonly vanishing and random pairs over shared polynomials."""
+    rng = random.Random(seed)
+    x = Poly.var(V, "x")
+    vanishing = [
+        x - Poly.const(V, point[0]) for point in rational._PROBE_POINTS
+    ]
+    polys = [p for pair in planted_pairs(seed, count) for p in pair]
+    polys += [p for pair in difference_pairs(seed + 1, count) for p in pair]
+    polys += [f * _int_poly(rng, 1, 3) for f in vanishing for _ in range(count)]
+    polys += [mixed_poly(rng, 4) for _ in range(count)]
+    polys = [p for p in polys if len(p.terms) > 1]
+    return polys, [tuple(rng.sample(polys, 2)) for _ in range(8 * count)]
+
+
+class TestProbeMemo:
+    def test_verdicts_match_a_from_scratch_probe_call_for_call(self):
+        polys, pairs = probe_pairs(71, 20)
+        fresh = [(poly(dict(a.terms)), poly(dict(b.terms))) for a, b in pairs]
+        verdicts = [rational._probably_coprime(a, b) for a, b in pairs]
+        assert verdicts == [probe_from_scratch(a, b) for a, b in fresh]
+        assert True in verdicts and False in verdicts
+
+    def test_each_polynomial_is_evaluated_once_per_point(self, monkeypatch):
+        polys, pairs = probe_pairs(72, 20)
+        evaluations = []
+        real = rational._eval_int
+        monkeypatch.setattr(
+            rational, "_eval_int", lambda p, point: evaluations.append((id(p), point)) or real(p, point)
+        )
+        for a, b in pairs * 2:
+            rational._probably_coprime(a, b)
+        assert evaluations
+        assert len(evaluations) == len(set(evaluations))
+        assert len(evaluations) <= len(rational._PROBE_POINTS) * len(polys)
+
+    def test_equality_and_hash_ignore_the_probe_values(self):
+        polys, pairs = probe_pairs(73, 5)
+        for a, b in pairs:
+            rational._probably_coprime(a, b)
+        probed = [p for p in polys if p._probes is not None]
+        assert probed
+        for p in probed:
+            twin = poly(dict(p.terms))
+            assert twin._probes is None
+            assert p == twin and hash(p) == hash(twin)
+            assert hash(p) == hash((p.variables, frozenset(p.terms.items())))
 
 
 class TestGcdCache:

@@ -12,6 +12,7 @@ from superpi.superalgebra import (
     Chart,
     Pullback,
     SuperFunction,
+    _merge_odd,
     parse_superfunction,
     substitute,
 )
@@ -36,6 +37,60 @@ class TestChart:
         assert not U0.is_even("th20")
         with pytest.raises(KeyError):
             U0.is_even("nope")
+
+
+def merge_by_inversions(m1, m2, chart):
+    """(sign, monomial) of m1 * m2 from the inversions of the concatenated positions."""
+    positions = [chart.odd_coords.index(x) for x in m1 + m2]
+    if len(set(positions)) < len(positions):
+        return 0, ()
+    inversions = sum(p > q for k, p in enumerate(positions) for q in positions[k + 1 :])
+    return (-1) ** inversions, tuple(chart.odd_coords[k] for k in sorted(positions))
+
+
+def odd_monomials(chart):
+    odd = chart.odd_coords
+    return [
+        tuple(n for k, n in enumerate(odd) if mask >> k & 1) for mask in range(1 << len(odd))
+    ]
+
+
+class TestOddProductTable:
+    def chart05(self):
+        return Chart("V", (), ("t1", "t2", "t3", "t4", "t5"))
+
+    def test_every_pair_on_a_0_5_chart_matches_the_reference(self):
+        chart = self.chart05()
+        monomials = odd_monomials(chart)
+        assert len(monomials) == 32
+        for _ in range(2):  # the second pass reads the table
+            for m1 in monomials:
+                for m2 in monomials:
+                    assert _merge_odd(m1, m2, chart) == merge_by_inversions(m1, m2, chart)
+        # Products with the empty monomial never reach the table.
+        assert len(chart._odd_products) == 31 * 31 <= 4 ** 5
+
+    def test_unknown_odd_name_raises_every_time_and_is_not_cached(self):
+        chart = self.chart05()
+        for _ in range(3):
+            with pytest.raises(KeyError, match="unknown odd coordinate 'nope'"):
+                _merge_odd(("t1",), ("nope",), chart)
+            with pytest.raises(KeyError, match="unknown odd coordinate 'nope'"):
+                _merge_odd(("nope",), ("t2", "t3"), chart)
+        assert chart._odd_products == {}
+
+    def test_equality_hash_and_repr_ignore_the_table(self):
+        used, fresh = self.chart05(), self.chart05()
+        t = [SuperFunction.coordinate(used, n) for n in used.odd_coords]
+        assert not (t[0] * t[1] * t[2] * t[3] * t[4]).is_zero
+        assert used._odd_products and not fresh._odd_products
+        assert used == fresh
+        assert hash(used) == hash(fresh) == hash(("V", (), used.odd_coords))
+        assert repr(used) == repr(fresh) == (
+            "Chart(name='V', even_coords=(), odd_coords=('t1', 't2', 't3', 't4', 't5'))"
+        )
+        # A function on the used chart still combines with one on the fresh chart.
+        assert (t[0] * SuperFunction.coordinate(fresh, "t2")).equals(t[0] * t[1])
 
 
 class TestArithmetic:
