@@ -175,44 +175,50 @@ def transformed_cell(zi: BigCell, zj: BigCell) -> SuperMatrix:
     return b_inv * zi.matrix
 
 
-def derive_transition_from_cells(
-    zi: BigCell, zj: BigCell, w: SuperMatrix | None = None
-) -> TransitionMap:
-    """Transition expressing Z_J's coordinates in Z_I's, from B_IJ^-1 Z_I.
+def _read_off(zi: BigCell, zj: BigCell) -> tuple[TransitionMap, str]:
+    """The transition from B_IJ^-1 Z_I and the read-off's first disagreement,
+    "" when every name that Z_J's template repeats reads the same.
 
-    The identity columns of the transformed cell are verified, every
-    occurrence of a coordinate in Z_J's template is read off, and repeated
-    occurrences are required to agree.  w is transformed_cell(zi, zj) when
-    the caller has it already; it is computed otherwise.
+    The identity columns of the transformed cell are verified (a broken
+    inverse raises ValueError), and each coordinate takes the value at its
+    first template position.  On a Pi-template the agreement is exactly
+    Pi-symmetry: the unit columns are the paired columns I and N+I, and on
+    the free columns the two positions of a name are the two sides of
+    row k+r = Pi(row r) = (-b | a).
     """
-    if w is None:
-        w = transformed_cell(zi, zj)
+    w = transformed_cell(zi, zj)
     d0, d1, n, _ = zj.shape
     one = SuperFunction.one(zi.chart)
     zero = SuperFunction.zero(zi.chart)
     unit_cols = [c for c in zj.index_even] + [n + c for c in zj.index_odd]
     for t, c in enumerate(unit_cols):
         for r in range(d0 + d1):
-            expected = one if r == t else zero
-            if not w.entries[r][c].equals(expected):
+            if not w.entries[r][c].equals(one if r == t else zero):
                 raise ValueError(
                     f"column {c} of the transformed cell is not the unit vector "
                     f"e_{t}: entry ({r}, {c}) = {w.entries[r][c].to_str()}"
                 )
     images: dict[str, SuperFunction] = {}
+    disagreement = ""
     for (r, c), (name, sign) in zj.layout.items():
-        value = w.entries[r][c]
-        if sign < 0:
-            value = -value
-        if name in images:
-            if not images[name].equals(value):
-                raise ValueError(
-                    f"inconsistent read-off for {name!r}: "
-                    f"{images[name].to_str()} vs {value.to_str()}"
-                )
-        else:
+        value = w.entries[r][c] if sign > 0 else -w.entries[r][c]
+        if name not in images:
             images[name] = value
-    return TransitionMap(zi.chart, zj.chart, images)
+        elif not disagreement and not images[name].equals(value):
+            disagreement = (
+                f"inconsistent read-off for {name!r}: "
+                f"{images[name].to_str()} vs {value.to_str()}"
+            )
+    return TransitionMap(zi.chart, zj.chart, images), disagreement
+
+
+def derive_transition_from_cells(zi: BigCell, zj: BigCell) -> TransitionMap:
+    """Transition expressing Z_J's coordinates in Z_I's, from B_IJ^-1 Z_I;
+    ValueError when the read-off (see _read_off) disagrees with itself."""
+    transition, disagreement = _read_off(zi, zj)
+    if disagreement:
+        raise ValueError(disagreement)
+    return transition
 
 
 def check_pi_symmetric(matrix: SuperMatrix) -> bool:
@@ -221,6 +227,7 @@ def check_pi_symmetric(matrix: SuperMatrix) -> bool:
     The matrix must contain a full set of unit columns (all our cells and
     their transforms do); the candidate coefficients of the transformed row
     are read off there and the combination is verified on every column.
+    Derivations take their verdict from _read_off; this is the general test.
     """
     k2 = matrix.row_shape[0] + matrix.row_shape[1]
     if matrix.row_shape[0] != matrix.row_shape[1] or matrix.col_shape[0] != matrix.col_shape[1]:
@@ -405,33 +412,26 @@ def grassmannian_cells(d0: int, d1: int, n: int, m: int) -> list[BigCell]:
     return cells
 
 
-def _atlas_from_cells(
-    cells: list[BigCell], pi_verdicts: dict[tuple[str, str], bool] | None = None
-) -> Atlas:
+def _atlas_from_cells(cells: list[BigCell]) -> tuple[Atlas, dict[tuple[str, str], str]]:
     """Atlas with one transition per ordered pair of distinct cells, each
-    derived once; Atlas adds the identities.
-
-    With pi_verdicts, every transformed cell is also tested for
-    Pi-symmetry and the verdict stored under (source, target), in pair
-    order; the transition is read off the same matrix.
+    derived once (Atlas adds the identities), and the read-off's
+    disagreement for every pair keyed by (source, target), "" when none.
     """
     charts = [cell.chart for cell in cells]
     transitions: dict[tuple[str, str], TransitionMap] = {}
+    disagreements: dict[tuple[str, str], str] = {}
     for zi in cells:
         for zj in cells:
-            if zi is zj:
-                continue
-            pair = (zi.chart.name, zj.chart.name)
-            w = transformed_cell(zi, zj)
-            if pi_verdicts is not None:
-                pi_verdicts[pair] = check_pi_symmetric(w)
-            transitions[pair] = derive_transition_from_cells(zi, zj, w)
-    return Atlas(charts, transitions)
+            if zi is not zj:
+                pair = (zi.chart.name, zj.chart.name)
+                transitions[pair], disagreements[pair] = _read_off(zi, zj)
+    return Atlas(charts, transitions), disagreements
 
 
 def build_super_grassmannian(d0: int, d1: int, n: int, m: int) -> Atlas:
-    """Atlas of G(d0|d1; n|m) with transitions derived from the big cells."""
-    return _atlas_from_cells(grassmannian_cells(d0, d1, n, m))
+    """Atlas of G(d0|d1; n|m) with transitions derived from the big cells
+    (their templates name each position once, so no read-off disagrees)."""
+    return _atlas_from_cells(grassmannian_cells(d0, d1, n, m))[0]
 
 
 def pi_grassmannian_cells(k: int, big_n: int) -> list[BigCell]:
@@ -455,13 +455,12 @@ def derive_pi_grassmannian(
     """Pi-Grassmannian atlas from the Pi-cells, plus the Pi-symmetry verdict
     of every derived cell keyed by (source, target) in pair order.
 
+    The verdict is the agreement of the cell's read-off (see _read_off).
     A derived cell that lost Pi-symmetry is recorded, not raised; its
-    transition is still read off (a read-off that disagrees with itself
-    raises ValueError there).
+    transition takes each coordinate from its first template position.
     """
-    verdicts: dict[tuple[str, str], bool] = {}
-    atlas = _atlas_from_cells(pi_grassmannian_cells(k, big_n), verdicts)
-    return atlas, verdicts
+    atlas, disagreements = _atlas_from_cells(pi_grassmannian_cells(k, big_n))
+    return atlas, {pair: not found for pair, found in disagreements.items()}
 
 
 def build_pi_grassmannian(k: int, big_n: int) -> Atlas:

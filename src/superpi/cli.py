@@ -187,7 +187,7 @@ def main(argv=None) -> int:
                 parser.error("--d0/--d1/--vn/--vm are required for grassmannian")
             return _run_dump(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ValueError, ZeroDivisionError, KeyError) as exc:
+    except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         print(f"superpi: error: {exc}", file=sys.stderr)
         return 2
     return 2

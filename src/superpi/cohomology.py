@@ -34,7 +34,6 @@ from .rational import (
     RatFun,
     exact,
     rat_mat_inverse,
-    rat_solve,
     solve_fraction_system,
     sum_by_key,
 )
@@ -257,9 +256,9 @@ def extract_obstruction(atlas: Atlas) -> CechCochain1:
     For the pair (i, j) the transition expressing chart-i coordinates in
     chart-j ones is split into its reduced part plus theta-theta
     corrections; the corrections are written as a vector field applied to
-    the reduced images, one exact linear solve per odd pair, and the result
-    is recorded as a 2-form-valued field under the dz <-> theta matching of
-    coordinate positions.
+    the reduced images, one product with BodyPullback's inverse body
+    Jacobian per odd pair, and the result is recorded as a 2-form-valued
+    field under the dz <-> theta matching of coordinate positions.
     """
     reduced = reduce_atlas(atlas)
     names = atlas.chart_names()
@@ -289,20 +288,14 @@ def extract_obstruction(atlas: Atlas) -> CechCochain1:
                 "degree-2 corrections need the odd coordinates to mirror the even ones"
             )
         even_of_odd = dict(zip(chart_j.odd_coords, chart_j.even_coords))
-        src_names = chart_j.even_coords
-        jac = [
-            [t.images[kappa].body().derivative(ell) for ell in src_names]
-            for kappa in chart_i.even_coords
-        ]
+        inverse = BodyPullback(t).inverse
+        col = {kappa: q for q, kappa in enumerate(chart_i.even_coords)}
         comp: dict[SectionKey, RatFun] = {}
-        zero = RatFun.zero(src_names)
         for mon in sorted(rhs_by_pair, key=lambda m: [chart_j.odd_position(x) for x in m]):
-            rhs = [
-                rhs_by_pair[mon].get(kappa, zero) for kappa in chart_i.even_coords
-            ]
-            solution = rat_solve(jac, rhs)
+            rhs = rhs_by_pair[mon]
             a, b = even_of_odd[mon[0]], even_of_odd[mon[1]]
-            for ell, value in zip(src_names, solution):
+            for ell, row in zip(chart_j.even_coords, inverse):
+                value = RatFun.sum([row[col[kappa]] * v for kappa, v in rhs.items()])
                 if not value.is_zero:
                     comp[(ell, (a, b))] = value
         sections[(i_name, j_name)] = TensorSection(reduced_j, comp)

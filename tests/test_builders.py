@@ -1,5 +1,6 @@
 """Big cells, derived transitions, Pi-symmetry and the named atlases."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -23,6 +24,7 @@ from superpi.builders import (
     reduce_atlas,
     transformed_cell,
 )
+from superpi.cli import main
 from superpi.rational import RatFun
 from superpi.report import FAIL, PASS
 from superpi.suites import suite_pi_grassmannian_24
@@ -228,46 +230,122 @@ class TestPiGrassmannian24:
             derive_transition_from_cells(degenerate, cells[1])
 
 
-def _count_derivations(monkeypatch, lost_pair=None):
-    """Count transformed_cell / check_pi_symmetric calls in the builders
-    module; the Pi check reports a loss for lost_pair, the pair whose cell
-    was transformed last."""
-    calls = {"transformed_cell": [], "check_pi_symmetric": 0}
+def _with_entries(w, changes):
+    """w with changes[(r, c)] added at each listed position."""
+    grid = [
+        [entry + changes[(r, c)] if (r, c) in changes else entry for c, entry in enumerate(row)]
+        for r, row in enumerate(w.entries)
+    ]
+    return SuperMatrix(w.chart, w.row_shape, w.col_shape, grid)
+
+
+def _plant_loss(monkeypatch, lost_pair):
+    """Record the pairs builders.transformed_cell derives, and break
+    Pi-symmetry in lost_pair's derived cell for real: 1 is added at the
+    second position of the target Pi-template's first name, so the read-off
+    (which takes the first position) keeps the true transition."""
+    pairs = []
     transform = builders.transformed_cell
-    pi_check = builders.check_pi_symmetric
 
-    def counted_transform(zi, zj):
-        calls["transformed_cell"].append((zi.chart.name, zj.chart.name))
-        return transform(zi, zj)
+    def planted(zi, zj):
+        pairs.append((zi.chart.name, zj.chart.name))
+        w = transform(zi, zj)
+        if pairs[-1] != lost_pair:
+            return w
+        first_name = next(iter(zj.layout.values()))[0]
+        second = [pos for pos, (name, _) in zj.layout.items() if name == first_name][1]
+        return _with_entries(w, {second: SuperFunction.one(w.chart)})
 
-    def counted_pi_check(matrix):
-        calls["check_pi_symmetric"] += 1
-        if calls["transformed_cell"][-1] == lost_pair:
-            return False
-        return pi_check(matrix)
-
-    monkeypatch.setattr(builders, "transformed_cell", counted_transform)
-    monkeypatch.setattr(builders, "check_pi_symmetric", counted_pi_check)
-    return calls
+    monkeypatch.setattr(builders, "transformed_cell", planted)
+    return pairs
 
 
 class TestPiVerdictPlumbing:
     def test_suite_derives_each_pair_once_and_reports_lost_symmetry(self, monkeypatch):
-        calls = _count_derivations(monkeypatch, lost_pair=("U2", "U5"))
+        pairs = _plant_loss(monkeypatch, ("U2", "U5"))
         report = suite_pi_grassmannian_24()
-        pairs = calls["transformed_cell"]
         assert len(pairs) == 30 and len(set(pairs)) == 30
-        assert calls["check_pi_symmetric"] == 30
         pi_checks = [c for c in report.checks if c.identifier.startswith("pi-symmetry/")]
         assert [c.identifier for c in pi_checks] == [f"pi-symmetry/{i}->{j}" for i, j in pairs]
         not_passed = {c.identifier: c.status for c in report.checks if c.status != PASS}
         assert not_passed == {"pi-symmetry/U2->U5": FAIL}
 
+    def test_cli_exits_one_on_lost_symmetry(self, monkeypatch, capsys):
+        _plant_loss(monkeypatch, ("U2", "U5"))
+        assert main(["verify", "pi-grassmannian-24"]) == 1
+        captured = capsys.readouterr()
+        assert "pi-symmetry/U2->U5" in captured.out and captured.err == ""
+
     def test_build_raises_on_lost_symmetry(self, monkeypatch):
-        calls = _count_derivations(monkeypatch, lost_pair=("U1", "U0"))
+        pairs = _plant_loss(monkeypatch, ("U1", "U0"))
         with pytest.raises(ValueError, match="U1->U0 lost Pi-symmetry"):
             build_pi_grassmannian(1, 3)
-        assert calls["check_pi_symmetric"] == len(calls["transformed_cell"]) == 6
+        assert len(pairs) == 6
+
+    def test_derive_transition_raises_on_disagreement(self, monkeypatch):
+        _plant_loss(monkeypatch, ("U1", "U0"))
+        cells = pi_grassmannian_cells(1, 3)
+        with pytest.raises(ValueError, match="inconsistent read-off for 'z10'"):
+            derive_transition_from_cells(cells[1], cells[0])
+
+    def test_broken_unit_column_still_raises(self, monkeypatch):
+        transform = builders.transformed_cell
+
+        def broken(zi, zj):
+            unit = (0, zj.index_even[0])
+            return _with_entries(transform(zi, zj), {unit: SuperFunction.one(zi.chart)})
+
+        monkeypatch.setattr(builders, "transformed_cell", broken)
+        with pytest.raises(ValueError, match="column 1 of the transformed cell is not the unit"):
+            builders.derive_pi_grassmannian(1, 3)
+
+
+def _read_off_verdict(monkeypatch, zi, zj, w):
+    """Whether the read-off of (zi, zj) agrees when the derived cell is w."""
+    monkeypatch.setattr(builders, "transformed_cell", lambda *_: w)
+    return builders._read_off(zi, zj)[1] == ""
+
+
+class TestReadOffIsPiSymmetry:
+    """The read-off's agreement against check_pi_symmetric, the general
+    span test, on every derived cell of the exposed Pi-Grassmannians and
+    on seeded perturbations of their free entries."""
+
+    @staticmethod
+    def _delta(rng, chart, odd):
+        names = chart.odd_coords if odd else chart.even_coords
+        coord = SuperFunction.coordinate(chart, rng.choice(names))
+        return coord.scale(rng.choice([-2, -1, 1, 3]))
+
+    @pytest.mark.parametrize("k, big_n", [(2, 4), (1, 3), (1, 4), (1, 5)])
+    def test_verdicts_agree(self, monkeypatch, k, big_n):
+        rng = random.Random(1000 * k + big_n)
+        cells = pi_grassmannian_cells(k, big_n)
+        cases = symmetric = 0
+        for zi in cells:
+            for zj in cells:
+                if zi is zj:
+                    continue
+                w = transformed_cell(zi, zj)
+                odd = lambda pos: (pos[0] >= k) != (pos[1] >= big_n)
+                by_name = {}
+                for pos, (name, sign) in zj.layout.items():
+                    by_name.setdefault(name, []).append((pos, sign))
+                candidates = [w]
+                # one entry moved: its partner no longer agrees
+                for pos in rng.sample(list(zj.layout), 2):
+                    candidates.append(_with_entries(w, {pos: self._delta(rng, w.chart, odd(pos))}))
+                # both positions of one name moved alike: still Pi-symmetric
+                (p1, s1), (p2, s2) = by_name[rng.choice(sorted(by_name))]
+                delta = self._delta(rng, w.chart, odd(p1))
+                candidates.append(_with_entries(w, {p1: delta.scale(s1), p2: delta.scale(s2)}))
+                for candidate in candidates:
+                    oracle = check_pi_symmetric(candidate)
+                    assert _read_off_verdict(monkeypatch, zi, zj, candidate) == oracle
+                    cases += 1
+                    symmetric += oracle
+        assert cases == 4 * len(cells) * (len(cells) - 1)
+        assert symmetric == 2 * len(cells) * (len(cells) - 1)
 
 
 def _signed(chart, name, sign):

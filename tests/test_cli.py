@@ -105,6 +105,15 @@ class TestVerify:
         assert captured.out == ""
         assert "degree bound must be >= 0, got -1" in captured.err
 
+    def test_unwritable_out_path_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.txt"
+        code = main(["verify", "pi-projective", "--n", "1", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("superpi: error: ")
+        assert not target.parent.exists()
+
     def test_internal_error_exits_two(self, capsys):
         code = main(["verify", "lifting", "--n", "9"])
         assert code == 2

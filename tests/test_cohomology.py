@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -31,7 +32,7 @@ from superpi.cohomology import (
     rewrite_frames,
     wedge_inclusion,
 )
-from superpi.rational import Poly, RatFun
+from superpi.rational import Poly, RatFun, rat_solve
 from superpi.superalgebra import parse_superfunction
 
 
@@ -199,6 +200,53 @@ class TestExtractObstruction:
         )
         with pytest.raises(ValueError, match=f"even image '{kappa}' has a degree-4 correction"):
             extract_obstruction(Atlas(atlas.charts, transitions))
+
+
+def reference_extraction(atlas):
+    """The per-odd-pair rat_solve of the body Jacobian that extraction
+    replaced with BodyPullback's inverse, kept as a reference."""
+    sections = {}
+    for i_name, j_name in combinations(atlas.chart_names(), 2):
+        evens_i, chart_j = atlas.chart(i_name).even_coords, atlas.chart(j_name)
+        t = atlas.transition(j_name, i_name)
+        src = chart_j.even_coords
+        jac = [[t.images[kappa].body().derivative(ell) for ell in src] for kappa in evens_i]
+        rhs_by_pair = {}
+        for kappa in evens_i:
+            for mon, coeff in t.images[kappa].degree_part(2).components.items():
+                rhs_by_pair.setdefault(mon, {})[kappa] = coeff
+        even_of_odd = dict(zip(chart_j.odd_coords, src))
+        comp = {}
+        for mon, rhs in rhs_by_pair.items():
+            zero = RatFun.zero(src)
+            solution = rat_solve(jac, [rhs.get(kappa, zero) for kappa in evens_i])
+            for ell, value in zip(src, solution):
+                if not value.is_zero:
+                    comp[(ell, (even_of_odd[mon[0]], even_of_odd[mon[1]]))] = value
+        sections[(i_name, j_name)] = comp
+    return sections
+
+
+class TestExtractionAgainstSolve:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_same_representatives_as_per_pair_solve(self, n, scale):
+        atlas = build_pi_projective_closed(n, scale)
+        extracted = extract_obstruction(atlas)
+        reference = reference_extraction(atlas)
+        assert set(extracted.sections) == set(reference)
+        for pair, comp in reference.items():
+            section = extracted.sections[pair]
+            expected = TensorSection(section.chart, comp).components
+            assert section.components.keys() == expected.keys()
+            for key, value in expected.items():
+                got = section.components[key]
+                assert (got.num, got.den) == (value.num, value.den)
+
+    def test_split_model_still_extracts_zero(self):
+        atlas = build_projective_superspace(2, 2)
+        assert extract_obstruction(atlas).is_zero()
+        assert all(not comp for comp in reference_extraction(atlas).values())
 
 
 class TestLifting:
