@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run every verification suite at desk scale and print the reports.
 
-Exits nonzero if any check fails.  The whole run takes 2.4-2.8 s on a
-2-core machine with CPython 3.11.7; obstruction n=3 (0.7-1.3 s) and the
-(2, 4) Pi-Grassmannian suite (1.0-1.4 s) are the slowest.
+Exits nonzero if any check fails.  The whole run, interpreter start
+included, takes 2.3-3.4 s on a 2-core machine with CPython 3.11.7;
+obstruction n=3 (0.8-1.3 s) and the (2, 4) Pi-Grassmannian suite
+(1.2-1.4 s) are the slowest.
 """
 
 import sys

@@ -451,28 +451,28 @@ def pi_grassmannian_cells(k: int, big_n: int) -> list[BigCell]:
 
 def derive_pi_grassmannian(
     k: int, big_n: int
-) -> tuple[Atlas, dict[tuple[str, str], bool]]:
-    """Pi-Grassmannian atlas from the Pi-cells, plus the Pi-symmetry verdict
+) -> tuple[Atlas, dict[tuple[str, str], str]]:
+    """Pi-Grassmannian atlas from the Pi-cells, plus the Pi-symmetry witness
     of every derived cell keyed by (source, target) in pair order.
 
-    The verdict is the agreement of the cell's read-off (see _read_off).
-    A derived cell that lost Pi-symmetry is recorded, not raised; its
-    transition takes each coordinate from its first template position.
+    The witness is the read-off's first disagreement (see _read_off), ""
+    when the cell stayed Pi-symmetric.  A derived cell that lost
+    Pi-symmetry is recorded, not raised; its transition takes each
+    coordinate from its first template position.
     """
-    atlas, disagreements = _atlas_from_cells(pi_grassmannian_cells(k, big_n))
-    return atlas, {pair: not found for pair, found in disagreements.items()}
+    return _atlas_from_cells(pi_grassmannian_cells(k, big_n))
 
 
 def build_pi_grassmannian(k: int, big_n: int) -> Atlas:
     """Atlas of the Pi-Grassmannian, transitions derived from the Pi-cells.
 
     Every derived cell is verified to stay Pi-symmetric; ValueError names
-    the first pair that did not.
+    the first pair that did not and its disagreeing coordinate.
     """
-    atlas, verdicts = derive_pi_grassmannian(k, big_n)
-    for (i, j), symmetric in verdicts.items():
-        if not symmetric:
-            raise ValueError(f"derived cell {i}->{j} lost Pi-symmetry")
+    atlas, witnesses = derive_pi_grassmannian(k, big_n)
+    for (i, j), witness in witnesses.items():
+        if witness:
+            raise ValueError(f"derived cell {i}->{j} lost Pi-symmetry: {witness}")
     return atlas
 
 

@@ -3,6 +3,10 @@
 Exit codes: 0 when every check passes, 1 when any check fails or stays
 undetermined, 2 on usage or internal errors.  Reports are deterministic,
 so identical invocations produce byte-identical output.
+
+The verify suites and the dump families are each named once, in SUITES
+and FAMILIES; the parser, the dispatch and the dump's option check read
+those tables.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import argparse
 import functools
 import sys
 
-from .atlas import Atlas
 from .builders import (
     build_pi_grassmannian,
     build_pi_projective_closed,
@@ -21,18 +24,56 @@ from .builders import (
 from .report import VerificationReport
 from . import suites
 
+# suite -> (help, integer options as (name, default), call).  A default of
+# None makes the option required; the call takes the options in order.
+# Each call looks up `suites.<name>` when it runs, so a rebound suite
+# (a tracer's wrapper, a test's stand-in) is the one called.
+SUITES = {
+    "pi-projective": (
+        "cocycle, Berezinian and obstruction",
+        (("n", None),),
+        lambda n: suites.suite_pi_projective(n),
+    ),
+    "projective-superspace": (
+        "split model checks",
+        (("n", None), ("m", None)),
+        lambda n, m: suites.suite_projective_superspace(n, m),
+    ),
+    "grassmannian": (
+        "big-cell atlas checks",
+        (("d0", None), ("d1", None), ("vn", None), ("vm", None)),
+        lambda d0, d1, vn, vm: suites.suite_grassmannian(d0, d1, vn, vm),
+    ),
+    "pi-grassmannian-24": (
+        "derived transitions and cubic term",
+        (),
+        lambda: suites.suite_pi_grassmannian_24(),
+    ),
+    "lifting": (
+        "homogeneous-coordinate lifting identities",
+        (("n", None),),
+        lambda n: suites.suite_lifting(n),
+    ),
+    "obstruction": (
+        "cocycle, extraction, bounded refutation",
+        (("n", None), ("degree-bound", 3)),
+        lambda n, bound: suites.suite_obstruction(n, bound),
+    ),
+}
 
-def _build_family(args) -> Atlas:
-    family = args.family
-    if family == "pi-projective":
-        return build_pi_projective_closed(args.n)
-    if family == "projective-superspace":
-        return build_projective_superspace(args.n, args.m)
-    if family == "grassmannian":
-        return build_super_grassmannian(args.d0, args.d1, args.vn, args.vm)
-    if family == "pi-grassmannian-24":
-        return build_pi_grassmannian(2, 4)
-    raise ValueError(f"unknown family {family!r}")
+# dump family -> (required options, atlas builder taking the parsed args).
+FAMILIES = {
+    "pi-projective": (("n",), lambda a: build_pi_projective_closed(a.n)),
+    "projective-superspace": (
+        ("n",),
+        lambda a: build_projective_superspace(a.n, a.m),
+    ),
+    "grassmannian": (
+        ("d0", "d1", "vn", "vm"),
+        lambda a: build_super_grassmannian(a.d0, a.d1, a.vn, a.vm),
+    ),
+    "pi-grassmannian-24": ((), lambda a: build_pi_grassmannian(2, 4)),
+}
 
 
 def _emit(report: VerificationReport, args) -> int:
@@ -43,11 +84,6 @@ def _emit(report: VerificationReport, args) -> int:
     else:
         print(text)
     return 0 if report.all_passed else 1
-
-
-def _add_output_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--out", default=None, help="write the report to a file")
 
 
 @functools.cache
@@ -61,55 +97,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
-
-    p = vsub.add_parser("pi-projective", help="cocycle, Berezinian and obstruction")
-    p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p)
-
-    p = vsub.add_parser("projective-superspace", help="split model checks")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_output_flags(p)
-
-    p = vsub.add_parser("grassmannian", help="big-cell atlas checks")
-    p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--vn", type=int, required=True)
-    p.add_argument("--vm", type=int, required=True)
-    _add_output_flags(p)
-
-    p = vsub.add_parser("pi-grassmannian-24", help="derived transitions and cubic term")
-    _add_output_flags(p)
-
-    p = vsub.add_parser("lifting", help="homogeneous-coordinate lifting identities")
-    p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p)
-
-    p = vsub.add_parser("obstruction", help="cocycle, extraction, bounded refutation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree-bound", type=int, default=3)
-    _add_output_flags(p)
+    for suite, (help_text, options, _) in SUITES.items():
+        p = vsub.add_parser(suite, help=help_text)
+        for name, default in options:
+            p.add_argument(f"--{name}", type=int, required=default is None, default=default)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--out", default=None, help="write the report to a file")
 
     dump = sub.add_parser("dump", help="print atlases and transitions")
     dsub = dump.add_subparsers(dest="what", required=True)
     for what in ("atlas", "transitions"):
         p = dsub.add_parser(what)
-        p.add_argument(
-            "--family",
-            required=True,
-            choices=(
-                "pi-projective",
-                "projective-superspace",
-                "grassmannian",
-                "pi-grassmannian-24",
-            ),
-        )
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--m", type=int, default=0)
-        p.add_argument("--d0", type=int, default=None)
-        p.add_argument("--d1", type=int, default=None)
-        p.add_argument("--vn", type=int, default=None)
-        p.add_argument("--vm", type=int, default=None)
+        p.add_argument("--family", required=True, choices=tuple(FAMILIES))
+        for name in ("n", "m", "d0", "d1", "vn", "vm"):
+            p.add_argument(f"--{name}", type=int, default=0 if name == "m" else None)
         if what == "transitions":
             p.add_argument("--source", default=None)
             p.add_argument("--target", default=None)
@@ -118,25 +119,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _run_verify(args) -> int:
-    if args.suite == "pi-projective":
-        report = suites.suite_pi_projective(args.n)
-    elif args.suite == "projective-superspace":
-        report = suites.suite_projective_superspace(args.n, args.m)
-    elif args.suite == "grassmannian":
-        report = suites.suite_grassmannian(args.d0, args.d1, args.vn, args.vm)
-    elif args.suite == "pi-grassmannian-24":
-        report = suites.suite_pi_grassmannian_24()
-    elif args.suite == "lifting":
-        report = suites.suite_lifting(args.n)
-    elif args.suite == "obstruction":
-        report = suites.suite_obstruction(args.n, args.degree_bound)
-    else:  # pragma: no cover - argparse guards this
-        raise ValueError(f"unknown suite {args.suite!r}")
-    return _emit(report, args)
+    _, options, run = SUITES[args.suite]
+    values = [getattr(args, name.replace("-", "_")) for name, _ in options]
+    return _emit(run(*values), args)
 
 
 def _run_dump(args) -> int:
-    atlas = _build_family(args)
+    atlas = FAMILIES[args.family][1](args)
     lines: list[str] = []
     if args.what == "atlas":
         for chart in atlas.charts:
@@ -144,9 +133,7 @@ def _run_dump(args) -> int:
                 f"chart {chart.name}: even {', '.join(chart.even_coords)}"
                 + (f" | odd {', '.join(chart.odd_coords)}" if chart.odd_coords else "")
             )
-    pairs = sorted(
-        (i, j) for i, j in atlas.transitions if i != j
-    )
+    pairs = sorted((i, j) for i, j in atlas.transitions if i != j)
     if args.what == "transitions":
         source = getattr(args, "source", None)
         target = getattr(args, "target", None)
@@ -174,17 +161,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _run_verify(args)
         if args.command == "dump":
-            if args.family == "pi-projective" and args.n is None:
-                parser.error("--n is required for pi-projective")
-            if args.family == "projective-superspace" and args.n is None:
-                parser.error("--n is required for projective-superspace")
-            if args.family == "grassmannian" and None in (
-                args.d0,
-                args.d1,
-                args.vn,
-                args.vm,
-            ):
-                parser.error("--d0/--d1/--vn/--vm are required for grassmannian")
+            required = FAMILIES[args.family][0]
+            if any(getattr(args, name) is None for name in required):
+                verb = "is" if len(required) == 1 else "are"
+                parser.error(f"--{'/--'.join(required)} {verb} required for {args.family}")
             return _run_dump(args)
         parser.error(f"unknown command {args.command!r}")
     except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:

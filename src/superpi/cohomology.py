@@ -306,29 +306,21 @@ def cochain_multiple(c1: CechCochain1, c2: CechCochain1) -> Optional[Fraction]:
     """The constant lambda with c1 = lambda * c2, or None if there is none.
 
     A zero c1 against a nonzero c2 reports lambda = 0; two zero cochains
-    also report 0.  Non-proportional cochains report None.
+    also report 0.  Non-proportional cochains report None.  The candidate
+    lambda is the ratio at the first component of c2 in sorted order.
     """
     if set(c1.sections) != set(c2.sections):
         return None
-    lam: Optional[Fraction] = None
     for key in sorted(c2.sections):
         section = c2.sections[key]
-        for comp_key in sorted(section.components, key=section._key_order):
-            other = c1.sections[key].components.get(comp_key)
-            if other is None:
-                ratio = Fraction(0)
-            else:
-                ratio = (other / section.components[comp_key]).is_constant()
-                if ratio is None:
-                    return None
-            if lam is None:
-                lam = ratio
-            elif lam != ratio:
-                return None
-    if lam is None:
-        lam = Fraction(0) if c1.is_zero() else None
-        return lam
-    if c1.equals(c2.scale(lam)):
+        if section.components:
+            break
+    else:
+        return Fraction(0) if c1.is_zero() else None
+    comp_key = min(section.components, key=section._key_order)
+    other = c1.sections[key].components.get(comp_key)
+    lam = Fraction(0) if other is None else (other / section.components[comp_key]).is_constant()
+    if lam is not None and c1.equals(c2.scale(lam)):
         return lam
     return None
 

@@ -27,7 +27,7 @@ from superpi.builders import (
 from superpi.cli import main
 from superpi.rational import RatFun
 from superpi.report import FAIL, PASS
-from superpi.suites import suite_pi_grassmannian_24
+from superpi.suites import G24_EXPECTED_U1_U2, suite_pi_grassmannian_24
 from superpi.superalgebra import Chart, SuperFunction, parse_superfunction
 from superpi.supermatrix import SuperMatrix
 
@@ -203,7 +203,44 @@ class TestPiSymmetry:
             check_pi_symmetric(cell.matrix)
 
 
+# The (U1, U2) known answers of G_Pi(2, 4) as the paper states them, layer by
+# layer: the reduced rank-2 Grassmannian, the parity-shifted cotangent sheaf
+# (degree-1 parts of the odd images) and the cubic term.
+G24_REDUCED_U1_U2 = {
+    "x12": "(-x11)/(y11)",
+    "x22": "(x21) + (-x11*y21)/(y11)",
+    "y12": "(1)/(y11)",
+    "y22": "(y21)/(y11)",
+}
+G24_COTANGENT_U1_U2 = {
+    "th12": "(-1)/(y11)*[th11] + (x11)/(y11^2)*[xi11]",
+    "th22": "(1)*[th21] + (-y21)/(y11)*[th11] + (-x11)/(y11)*[xi21]"
+    " + (x11*y21)/(y11^2)*[xi11]",
+    "xi12": "(-1)/(y11^2)*[xi11]",
+    "xi22": "(1)/(y11)*[xi21] + (-y21)/(y11^2)*[xi11]",
+}
+G24_CUBIC_TERM = "(-1)/(y11^2)*[th11*xi11*xi21]"
+
+
 class TestPiGrassmannian24:
+    def test_expected_transitions_hold_every_stated_layer(self):
+        chart = pi_grassmannian_cells(2, 4)[0].chart
+        expected = {
+            name: parse_superfunction(text, chart)
+            for name, text in G24_EXPECTED_U1_U2.items()
+        }
+        # A name missing from a layer's table has no part of that degree.
+        layers = {
+            0: G24_REDUCED_U1_U2,
+            1: G24_COTANGENT_U1_U2,
+            3: {"th22": G24_CUBIC_TERM},
+        }
+        for degree, table in layers.items():
+            for name, value in expected.items():
+                stated = parse_superfunction(table.get(name, "(0)"), chart)
+                assert value.degree_part(degree).equals(stated), (degree, name)
+        assert set(G24_REDUCED_U1_U2) | set(G24_COTANGENT_U1_U2) == set(expected)
+
     def test_chart_count(self):
         atlas = build_pi_grassmannian(2, 4)
         assert len(atlas.charts) == 6
@@ -262,6 +299,8 @@ def _plant_loss(monkeypatch, lost_pair):
 
 class TestPiVerdictPlumbing:
     def test_suite_derives_each_pair_once_and_reports_lost_symmetry(self, monkeypatch):
+        cells = pi_grassmannian_cells(2, 4)
+        x15 = derive_transition_from_cells(cells[1], cells[4]).images["x15"]
         pairs = _plant_loss(monkeypatch, ("U2", "U5"))
         report = suite_pi_grassmannian_24()
         assert len(pairs) == 30 and len(set(pairs)) == 30
@@ -269,16 +308,23 @@ class TestPiVerdictPlumbing:
         assert [c.identifier for c in pi_checks] == [f"pi-symmetry/{i}->{j}" for i, j in pairs]
         not_passed = {c.identifier: c.status for c in report.checks if c.status != PASS}
         assert not_passed == {"pi-symmetry/U2->U5": FAIL}
+        # The witness is the read-off's disagreement: the first position of
+        # x15 against the second, where the plant added 1.
+        planted = x15 + SuperFunction.one(x15.chart)
+        assert report.find("pi-symmetry/U2->U5").witness == (
+            f"inconsistent read-off for 'x15': {x15.to_str()} vs {planted.to_str()}"
+        )
 
     def test_cli_exits_one_on_lost_symmetry(self, monkeypatch, capsys):
         _plant_loss(monkeypatch, ("U2", "U5"))
         assert main(["verify", "pi-grassmannian-24"]) == 1
         captured = capsys.readouterr()
         assert "pi-symmetry/U2->U5" in captured.out and captured.err == ""
+        assert "inconsistent read-off for 'x15'" in captured.out
 
     def test_build_raises_on_lost_symmetry(self, monkeypatch):
         pairs = _plant_loss(monkeypatch, ("U1", "U0"))
-        with pytest.raises(ValueError, match="U1->U0 lost Pi-symmetry"):
+        with pytest.raises(ValueError, match="U1->U0 lost Pi-symmetry: inconsistent read-off for 'z10'"):
             build_pi_grassmannian(1, 3)
         assert len(pairs) == 6
 

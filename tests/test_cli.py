@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from superpi.cli import main
+from superpi.cli import FAMILIES, SUITES, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -174,6 +174,51 @@ class TestDump:
              "--source", "U0", "--target", "U7"]
         )
         assert code == 2
+
+
+# Every dump family's missing-option message, as the command line prints it.
+DUMP_USAGE = [
+    ("pi-projective", [], "--n is required for pi-projective"),
+    ("projective-superspace", ["--m", "1"], "--n is required for projective-superspace"),
+    ("grassmannian", [], "--d0/--d1/--vn/--vm are required for grassmannian"),
+    ("grassmannian", ["--d0", "1", "--vm", "2"], "--d0/--d1/--vn/--vm are required for grassmannian"),
+]
+
+
+class TestTables:
+    def test_usage_cases_cover_every_family_with_required_options(self):
+        families = {family for family, _, _ in DUMP_USAGE}
+        assert families == {family for family, (required, _) in FAMILIES.items() if required}
+
+    @pytest.mark.parametrize("what", ["atlas", "transitions"])
+    @pytest.mark.parametrize("family, given, message", DUMP_USAGE)
+    def test_dump_without_required_options_exits_two(self, family, given, message, what, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dump", what, "--family", family, *given])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"superpi: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "suite, missing",
+        [(suite, name) for suite, (_, options, _) in SUITES.items()
+         for name, default in options if default is None],
+    )
+    def test_verify_without_a_required_option_exits_two(self, suite, missing, capsys):
+        _, options, _ = SUITES[suite]
+        given = [arg for name, default in options if default is None and name != missing
+                 for arg in (f"--{name}", "1")]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, *given])
+        assert exc.value.code == 2
+        assert f"the following arguments are required: --{missing}" in capsys.readouterr().err
+
+    def test_every_suite_has_a_golden_call(self):
+        from test_golden import CALLS
+
+        covered = {argv[1] for argv in CALLS if argv[0] == "verify"}
+        assert set(SUITES) <= covered
 
 
 class TestModuleEntryPoint:

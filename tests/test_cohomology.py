@@ -364,6 +364,106 @@ class TestCochainMultiple:
         with pytest.raises(ValueError, match="n >= 2"):
             omega_representative(1)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_extracted_class_matches_reference(self, n, scale):
+        extracted = extract_obstruction(build_pi_projective_closed(n, scale))
+        omega = omega_representative(n)
+        assert cochain_multiple(extracted, omega) == scale
+        assert reference_cochain_multiple(extracted, omega) == scale
+
+    def test_matches_reference(self):
+        omega = omega_representative(2)
+        first, *rest = sorted(omega.sections)
+        section = omega.sections[first]
+        lead = min(section.components, key=section._key_order)
+        evens = section.chart.even_coords
+        z = RatFun.var(evens, evens[0])
+        spare = next(
+            (k, pair) for k in evens for pair in combinations(evens, 2)
+            if (k, pair) not in section.components
+        )
+
+        def replace(cochain, key, components):
+            chart = cochain.sections[key].chart
+            return CechCochain1(
+                cochain.atlas, {**cochain.sections, key: TensorSection(chart, components)}
+            )
+
+        zero = omega.scale(0)
+        candidates = {
+            "proportional": (omega.scale(Fraction(-3, 2)), omega),
+            "itself": (omega, omega),
+            "zero-vs-nonzero": (zero, omega),
+            "nonzero-vs-zero": (omega, zero),
+            "zero-vs-zero": (zero, zero),
+            "one-section-doubled": (replace(omega, first, section.scale(2).components), omega),
+            "later-section-doubled": (
+                replace(omega, rest[-1], omega.sections[rest[-1]].scale(2).components),
+                omega,
+            ),
+            "lead-not-constant": (
+                replace(omega, first, {**section.components, lead: section.components[lead] * z}),
+                omega,
+            ),
+            "lead-missing": (
+                replace(omega, first, {k: v for k, v in section.components.items() if k != lead}),
+                omega,
+            ),
+            "first-section-zero": (replace(omega, first, {}), replace(omega, first, {})),
+            "extra-component": (
+                replace(omega, first, {**section.components, spare: z}),
+                omega,
+            ),
+            "mismatched-keys": (CechCochain1(omega.atlas, {k: omega.sections[k] for k in rest}), omega),
+            "other-atlas": (omega_representative(3), omega),
+        }
+        found = {
+            name: (cochain_multiple(c1, c2), reference_cochain_multiple(c1, c2))
+            for name, (c1, c2) in candidates.items()
+        }
+        assert all(new == old for new, old in found.values()), found
+        assert {name: new for name, (new, _) in found.items()} == {
+            "proportional": Fraction(-3, 2),
+            "itself": 1,
+            "zero-vs-nonzero": 0,
+            "nonzero-vs-zero": None,
+            "zero-vs-zero": 0,
+            "one-section-doubled": None,
+            "later-section-doubled": None,
+            "lead-not-constant": None,
+            "lead-missing": None,
+            "first-section-zero": 1,
+            "extra-component": None,
+            "mismatched-keys": None,
+            "other-atlas": None,
+        }
+
+
+def reference_cochain_multiple(c1, c2):
+    """cochain_multiple as a component-by-component search: every ratio of
+    c1 to c2 must be the same constant before the cochains are compared."""
+    if set(c1.sections) != set(c2.sections):
+        return None
+    lam = None
+    for key in sorted(c2.sections):
+        section = c2.sections[key]
+        for comp_key in sorted(section.components, key=section._key_order):
+            other = c1.sections[key].components.get(comp_key)
+            if other is None:
+                ratio = Fraction(0)
+            else:
+                ratio = (other / section.components[comp_key]).is_constant()
+                if ratio is None:
+                    return None
+            if lam is None:
+                lam = ratio
+            elif lam != ratio:
+                return None
+    if lam is None:
+        return Fraction(0) if c1.is_zero() else None
+    return lam if c1.equals(c2.scale(lam)) else None
+
 
 class TestOddDegreeDecompose:
     def test_pi_space_transitions_are_linear(self):
