@@ -1,43 +1,31 @@
 #!/usr/bin/env python3
-"""Run every verification suite at desk scale and print the reports.
+"""Run the desk battery, `superpi.cli.DESK`, and print one status line per call.
 
-Exits nonzero if any check fails.  The whole run, interpreter start
-included, takes 2.3-3.4 s on a 2-core machine with CPython 3.11.7;
-obstruction n=3 (0.8-1.3 s) and the (2, 4) Pi-Grassmannian suite
-(1.2-1.4 s) are the slowest.
+Each call is parsed by the CLI's own parser and run through `cli.verify`,
+the code path of `superpi verify`.  A failing report is printed in full
+after its status line, and the script then exits nonzero.  The whole run,
+interpreter start included, takes 2.1-2.5 s on a 2-core machine with
+CPython 3.11.7; obstruction n=3 (0.6-0.7 s) and pi-grassmannian-24
+(0.7-0.8 s) are the slowest.
 """
 
 import sys
 import time
 
-from superpi import suites
+from superpi.cli import DESK, build_arg_parser, verify
 
 
 def main() -> int:
-    runs = [
-        ("pi-projective n=1", lambda: suites.suite_pi_projective(1)),
-        ("pi-projective n=2", lambda: suites.suite_pi_projective(2)),
-        ("pi-projective n=3", lambda: suites.suite_pi_projective(3)),
-        ("projective superspace 1|1", lambda: suites.suite_projective_superspace(1, 1)),
-        ("projective superspace 2|3", lambda: suites.suite_projective_superspace(2, 3)),
-        ("grassmannian (1|1; 2|2)", lambda: suites.suite_grassmannian(1, 1, 2, 2)),
-        ("grassmannian (2|0; 4|0)", lambda: suites.suite_grassmannian(2, 0, 4, 0)),
-        ("lifting n=2", lambda: suites.suite_lifting(2)),
-        ("lifting n=3", lambda: suites.suite_lifting(3)),
-        ("obstruction n=2", lambda: suites.suite_obstruction(2, 3)),
-        ("obstruction n=3", lambda: suites.suite_obstruction(3, 3)),
-        ("pi-grassmannian (2, 4)", suites.suite_pi_grassmannian_24),
-    ]
-
+    parser = build_arg_parser()
     ok = True
-    for label, run in runs:
+    for argv in DESK:
         start = time.monotonic()
-        report = run()
+        report = verify(parser.parse_args(["verify", *argv]))
         elapsed = time.monotonic() - start
         counts = report.counts()
         status = "ok" if report.all_passed else "FAILED"
         print(
-            f"{label:32s} {status:6s} "
+            f"{' '.join(argv):40s} {status:6s} "
             f"{counts['pass']:4d} pass {counts['fail']:3d} fail "
             f"{counts['undetermined']:3d} undetermined  ({elapsed:.1f}s)"
         )

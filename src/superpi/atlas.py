@@ -14,8 +14,9 @@ derivatives the chain rule crosses the factors:
 
 (the source-side factor multiplies from the left; the commonly quoted
 matrix product subst(Jac(T2)) * Jac(T1) acquires wrong Koszul signs on the
-parity-diagonal blocks).  jacobian_chain_product implements the correct
-contraction and the Berezinian checks never rely on the wrong one.
+parity-diagonal blocks).  The Berezinian checks never rely on the wrong
+one; the tests check the correct contraction with the oracle
+`jacobian_chain_product` of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .report import FAIL, PASS, UNDETERMINED, VerificationReport
-from .superalgebra import Chart, Pullback, SuperFunction, check_image, substitute
-from .supermatrix import SuperMatrix, berezinian, grid_mul
+from .superalgebra import Chart, Pullback, SuperFunction, check_image
+from .supermatrix import SuperMatrix, berezinian
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,6 @@ class TransitionMap:
             if img.chart != self.source:
                 raise ValueError(f"image of {name!r} does not live on the source chart")
             check_image(self.target, name, img)
-
-    def pull_back(self, f: SuperFunction) -> SuperFunction:
-        """Rewrite a superfunction on the target chart in source coordinates."""
-        if f.chart != self.target:
-            raise ValueError("pull_back expects a function on the target chart")
-        return substitute(f, self.images)
 
 
 def identity_transition(chart: Chart) -> TransitionMap:
@@ -203,29 +198,6 @@ def super_jacobian(t: TransitionMap) -> SuperMatrix:
         (len(t.source.even_coords), len(t.source.odd_coords)),
         rows,
     )
-
-
-def jacobian_chain_product(j_inner: SuperMatrix, j_outer_pulled: SuperMatrix) -> SuperMatrix:
-    """Contract two Jacobians in the order the left-derivative chain rule needs.
-
-    j_inner is Jac(T1) and j_outer_pulled is Jac(T2) with entries already
-    rewritten in T1's source coordinates; entry (r, c) of the result is
-    sum_m j_inner[m, c] * j_outer_pulled[r, m].
-    """
-    if j_inner.row_shape != j_outer_pulled.col_shape:
-        raise ValueError("inner rows must match outer columns")
-    chart = j_inner.chart
-    rows, inner = sum(j_outer_pulled.row_shape), sum(j_inner.row_shape)
-    cols = sum(j_inner.col_shape)
-    # The transpose of j_inner^T * j_outer_pulled^T, so each left factor is from j_inner.
-    inner_t = _transpose(j_inner.entries, cols)
-    grid = grid_mul(inner_t, _transpose(j_outer_pulled.entries, inner), chart, rows)
-    return SuperMatrix(chart, j_outer_pulled.row_shape, j_inner.col_shape, _transpose(grid, rows))
-
-
-def _transpose(grid, width: int):
-    """The transpose of a grid whose rows have the given width (also when it has no rows)."""
-    return [[row[c] for row in grid] for c in range(width)]
 
 
 def berezinian_class(value: SuperFunction) -> tuple[str, str]:

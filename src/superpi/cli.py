@@ -6,7 +6,7 @@ so identical invocations produce byte-identical output.
 
 The verify suites and the dump families are each named once, in SUITES
 and FAMILIES; the parser, the dispatch and the dump's option check read
-those tables.
+those tables.  DESK names the desk-scale battery of verify calls once.
 """
 
 from __future__ import annotations
@@ -24,42 +24,40 @@ from .builders import (
 from .report import VerificationReport
 from . import suites
 
-# suite -> (help, integer options as (name, default), call).  A default of
-# None makes the option required; the call takes the options in order.
-# Each call looks up `suites.<name>` when it runs, so a rebound suite
-# (a tracer's wrapper, a test's stand-in) is the one called.
+# suite -> (help, integer options as (name, default)).  A default of None
+# makes the option required.  Suite `a-b` runs `suites.suite_a_b` with the
+# options in order, looked up when it runs, so a rebound suite (a tracer's
+# wrapper, a test's stand-in) is the one called.
 SUITES = {
-    "pi-projective": (
-        "cocycle, Berezinian and obstruction",
-        (("n", None),),
-        lambda n: suites.suite_pi_projective(n),
-    ),
-    "projective-superspace": (
-        "split model checks",
-        (("n", None), ("m", None)),
-        lambda n, m: suites.suite_projective_superspace(n, m),
-    ),
+    "pi-projective": ("cocycle, Berezinian and obstruction", (("n", None),)),
+    "projective-superspace": ("split model checks", (("n", None), ("m", None))),
     "grassmannian": (
         "big-cell atlas checks",
         (("d0", None), ("d1", None), ("vn", None), ("vm", None)),
-        lambda d0, d1, vn, vm: suites.suite_grassmannian(d0, d1, vn, vm),
     ),
-    "pi-grassmannian-24": (
-        "derived transitions and cubic term",
-        (),
-        lambda: suites.suite_pi_grassmannian_24(),
-    ),
-    "lifting": (
-        "homogeneous-coordinate lifting identities",
-        (("n", None),),
-        lambda n: suites.suite_lifting(n),
-    ),
+    "pi-grassmannian-24": ("derived transitions and cubic term", ()),
+    "lifting": ("homogeneous-coordinate lifting identities", (("n", None),)),
     "obstruction": (
         "cocycle, extraction, bounded refutation",
         (("n", None), ("degree-bound", 3)),
-        lambda n, bound: suites.suite_obstruction(n, bound),
     ),
 }
+
+# The desk battery: every suite at desk scale, as the arguments that follow
+# `verify`.  scripts/run_all_checks.py runs it and tests/test_golden.py
+# keeps its reports.
+DESK = (
+    *(("pi-projective", "--n", str(n)) for n in range(1, 6)),
+    ("projective-superspace", "--n", "1", "--m", "1"),
+    ("projective-superspace", "--n", "2", "--m", "3"),
+    ("grassmannian", "--d0", "1", "--d1", "1", "--vn", "2", "--vm", "2"),
+    ("grassmannian", "--d0", "2", "--d1", "0", "--vn", "4", "--vm", "0"),
+    ("lifting", "--n", "2"),
+    ("lifting", "--n", "3"),
+    ("obstruction", "--n", "2"),
+    ("obstruction", "--n", "3"),
+    ("pi-grassmannian-24",),
+)
 
 # dump family -> (required options, atlas builder taking the parsed args).
 FAMILIES = {
@@ -95,9 +93,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run a named verification suite")
-    vsub = verify.add_subparsers(dest="suite", required=True)
-    for suite, (help_text, options, _) in SUITES.items():
+    verify_parser = sub.add_parser("verify", help="run a named verification suite")
+    vsub = verify_parser.add_subparsers(dest="suite", required=True)
+    for suite, (help_text, options) in SUITES.items():
         p = vsub.add_parser(suite, help=help_text)
         for name, default in options:
             p.add_argument(f"--{name}", type=int, required=default is None, default=default)
@@ -118,10 +116,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_verify(args) -> int:
-    _, options, run = SUITES[args.suite]
-    values = [getattr(args, name.replace("-", "_")) for name, _ in options]
-    return _emit(run(*values), args)
+def verify(args) -> VerificationReport:
+    """The report of the suite named by parsed `verify` arguments."""
+    options = SUITES[args.suite][1]
+    run = getattr(suites, "suite_" + args.suite.replace("-", "_"))
+    return run(*(getattr(args, name.replace("-", "_")) for name, _ in options))
 
 
 def _run_dump(args) -> int:
@@ -159,18 +158,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "dump":
-            required = FAMILIES[args.family][0]
-            if any(getattr(args, name) is None for name in required):
-                verb = "is" if len(required) == 1 else "are"
-                parser.error(f"--{'/--'.join(required)} {verb} required for {args.family}")
-            return _run_dump(args)
-        parser.error(f"unknown command {args.command!r}")
+            return _emit(verify(args), args)
+        required = FAMILIES[args.family][0]
+        if any(getattr(args, name) is None for name in required):
+            verb = "is" if len(required) == 1 else "are"
+            parser.error(f"--{'/--'.join(required)} {verb} required for {args.family}")
+        return _run_dump(args)
     except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         print(f"superpi: error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

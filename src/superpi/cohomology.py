@@ -178,10 +178,6 @@ class CechCochain1:
     atlas: Atlas
     sections: dict[tuple[str, str], TensorSection]
 
-    def pair_names(self) -> list[tuple[str, str]]:
-        names = self.atlas.chart_names()
-        return [(i, j) for i, j in combinations(names, 2)]
-
     def section(self, i: str, j: str) -> TensorSection:
         return self.sections[(i, j)]
 
@@ -199,11 +195,6 @@ class CechCochain1:
         )
 
 
-def reduced_projective_atlas(n: int) -> Atlas:
-    """The ordinary n-dimensional projective atlas (no odd directions)."""
-    return build_projective_superspace(n, 0)
-
-
 def omega_representative(n: int, scale: Fraction | int = 1) -> CechCochain1:
     """The standard generator: on (i, j) the sum over k of
 
@@ -214,7 +205,7 @@ def omega_representative(n: int, scale: Fraction | int = 1) -> CechCochain1:
     """
     if n < 2:
         raise ValueError("the obstruction cochain needs n >= 2")
-    atlas = reduced_projective_atlas(n)
+    atlas = build_projective_superspace(n, 0)
     scale = exact(scale)
     sections: dict[tuple[str, str], TensorSection] = {}
     for i, j in combinations(range(n + 1), 2):
@@ -736,18 +727,6 @@ def coboundary_refute(cochain: CechCochain1, degree_bound: int) -> VerificationR
             "coboundary found: " + " | ".join(parts),
         )
     return report
-
-
-def coboundary_of(
-    atlas: Atlas, zero_cochain: Mapping[str, TensorSection]
-) -> CechCochain1:
-    """delta(eta) for a 0-cochain eta: the pair (i, j) gets eta_i - eta_j on chart j."""
-    sections: dict[tuple[str, str], TensorSection] = {}
-    for i_name, j_name in combinations(atlas.chart_names(), 2):
-        t = atlas.transition(j_name, i_name)
-        pulled = pullback_tensor(zero_cochain[i_name], t)
-        sections[(i_name, j_name)] = pulled - zero_cochain[j_name]
-    return CechCochain1(atlas, sections)
 
 
 def odd_degree_decompose(t: TransitionMap) -> dict[str, dict[int, SuperFunction]]:

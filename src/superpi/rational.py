@@ -179,12 +179,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Total degree; the zero polynomial reports 0."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def is_constant(self) -> Optional[Rational]:
         """The constant value if this polynomial is constant, else None."""
         if not self.terms:

@@ -28,7 +28,6 @@ from .cohomology import (
     coboundary_refute,
     extract_obstruction,
     lifting_verify,
-    odd_degree_decompose,
     omega_representative,
 )
 from .report import FAIL, PASS, VerificationReport
@@ -178,9 +177,8 @@ def suite_pi_grassmannian_24() -> VerificationReport:
             actual.equals(expected[name].degree_part(0)),
             f"reduced part {actual.to_str()}",
         )
-    layers = odd_degree_decompose(t12)
     for name in sorted(t12.target.odd_coords):
-        actual = layers[name].get(1, t12.images[name].degree_part(1))
+        actual = t12.images[name].degree_part(1)
         report.add_bool(
             f"cotangent-layer/U1->U2/{name}",
             actual.equals(expected[name].degree_part(1)),

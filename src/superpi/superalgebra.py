@@ -275,11 +275,6 @@ class SuperFunction:
             self.chart, {m: c.scale(value) for m, c in self.components.items()}
         )
 
-    def mul_ratfun(self, value: RatFun) -> SuperFunction:
-        return SuperFunction(
-            self.chart, {m: c * value for m, c in self.components.items()}
-        )
-
     def __pow__(self, power: int) -> SuperFunction:
         if power < 0:
             return self.invert() ** (-power)
@@ -609,12 +604,3 @@ class _Parser:
 def parse_superfunction(text: str, chart: Chart) -> SuperFunction:
     """Parse the canonical text form back into a SuperFunction."""
     return _Parser(text, chart).parse_superfunction()
-
-
-def parse_ratfun(text: str, variables: Sequence[str]) -> RatFun:
-    """Parse a rational function in the canonical "(num)/(den)" form."""
-    chart = Chart("_parse", tuple(variables), ())
-    parser = _Parser(text, chart)
-    value = parser.parse_ratfun()
-    parser.expect("end")
-    return value

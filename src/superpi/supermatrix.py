@@ -18,7 +18,7 @@ on every square even matrix, nilpotent or zero determinant body included.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .rational import Field, nonzero, solve_square
 from .superalgebra import Chart, SuperFunction
@@ -98,16 +98,6 @@ class SuperMatrix:
     def is_square(self) -> bool:
         return self.row_shape == self.col_shape
 
-    def map_entries(self, fn: Callable[[SuperFunction], SuperFunction]) -> SuperMatrix:
-        chart = None
-        grid = []
-        for row in self.entries:
-            new_row = [fn(entry) for entry in row]
-            grid.append(new_row)
-            if new_row:
-                chart = new_row[0].chart
-        return SuperMatrix(chart or self.chart, self.row_shape, self.col_shape, grid)
-
     def equals(self, other: SuperMatrix) -> bool:
         if self.row_shape != other.row_shape or self.col_shape != other.col_shape:
             return False
@@ -126,11 +116,6 @@ class SuperMatrix:
             raise ValueError("supermatrix product across different charts")
         grid = grid_mul(self.entries, other.entries, self.chart, sum(other.col_shape))
         return SuperMatrix(self.chart, self.row_shape, other.col_shape, grid)
-
-    def to_str(self) -> str:
-        return "\n".join(
-            "  ".join(entry.to_str() for entry in row) for row in self.entries
-        )
 
     def __repr__(self):
         p, q = self.row_shape
@@ -213,6 +198,13 @@ def grid_sub(
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(x, y)]
 
 
+def _schur(a, b, c, d, chart: Chart):
+    """A^-1, C A^-1 and the Schur complement S = D - (C A^-1) B."""
+    a_inv = even_matrix_inverse(a)
+    c_a_inv = grid_mul(c, a_inv, chart)
+    return a_inv, c_a_inv, grid_sub(d, grid_mul(c_a_inv, b, chart))
+
+
 def smat_inverse(m: SuperMatrix) -> SuperMatrix:
     """Two-sided exact inverse of an invertible square supermatrix.
 
@@ -231,9 +223,8 @@ def smat_inverse(m: SuperMatrix) -> SuperMatrix:
         return SuperMatrix(chart, m.row_shape, m.col_shape, even_matrix_inverse(d))
     if q == 0:
         return SuperMatrix(chart, m.row_shape, m.col_shape, even_matrix_inverse(a))
-    a_inv = even_matrix_inverse(a)
-    c_a_inv = grid_mul(c, a_inv, chart)
-    bottom_right = even_matrix_inverse(grid_sub(d, grid_mul(c_a_inv, b, chart)))
+    a_inv, c_a_inv, schur = _schur(a, b, c, d, chart)
+    bottom_right = even_matrix_inverse(schur)
     minus_s_inv = [[-e for e in row] for row in bottom_right]
     top_right = grid_mul(grid_mul(a_inv, b, chart), minus_s_inv, chart)
     bottom_left = grid_mul(minus_s_inv, c_a_inv, chart)
@@ -254,6 +245,5 @@ def berezinian(m: SuperMatrix) -> SuperFunction:
     if p == 0:
         return even_det(m.block_d()).invert()
     a, b, c, d = m.block_a(), m.block_b(), m.block_c(), m.block_d()
-    a_inv = even_matrix_inverse(a)
-    schur = grid_sub(d, grid_mul(grid_mul(c, a_inv, chart), b, chart))
+    schur = _schur(a, b, c, d, chart)[2]
     return even_det(a) * even_det(schur).invert()

@@ -134,7 +134,8 @@ def random_transition(rng: random.Random, source: Chart, target: Chart) -> Trans
             if coeff:
                 term = SuperFunction.coordinate(source, odd).scale(coeff)
                 if rng.random() < 0.3:
-                    term = term.mul_ratfun(RatFun.var(source.even_coords, source.even_coords[0]))
+                    z = RatFun.var(source.even_coords, source.even_coords[0])
+                    term = SuperFunction(source, {m: c * z for m, c in term.components.items()})
                 image = image + term
         images[name] = image
     return TransitionMap(source, target, images)

@@ -1,0 +1,58 @@
+"""Reference constructions that only the tests use, kept out of the package."""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Callable, Mapping
+
+from superpi.atlas import Atlas, TransitionMap
+from superpi.cohomology import CechCochain1, TensorSection, pullback_tensor
+from superpi.superalgebra import SuperFunction, substitute
+from superpi.supermatrix import SuperMatrix, grid_mul
+
+
+def coboundary_of(atlas: Atlas, zero_cochain: Mapping[str, TensorSection]) -> CechCochain1:
+    """delta(eta) for a 0-cochain eta: the pair (i, j) gets eta_i - eta_j on chart j."""
+    sections: dict[tuple[str, str], TensorSection] = {}
+    for i_name, j_name in combinations(atlas.chart_names(), 2):
+        t = atlas.transition(j_name, i_name)
+        pulled = pullback_tensor(zero_cochain[i_name], t)
+        sections[(i_name, j_name)] = pulled - zero_cochain[j_name]
+    return CechCochain1(atlas, sections)
+
+
+def map_entries(m: SuperMatrix, fn: Callable[[SuperFunction], SuperFunction]) -> SuperMatrix:
+    """fn applied to every entry of m, on the chart of the new entries."""
+    grid = [[fn(entry) for entry in row] for row in m.entries]
+    chart = grid[0][0].chart if grid and grid[0] else m.chart
+    return SuperMatrix(chart, m.row_shape, m.col_shape, grid)
+
+
+def pull_back(t: TransitionMap, f: SuperFunction) -> SuperFunction:
+    """f, a function on the target chart of t, in the source coordinates of t."""
+    if f.chart != t.target:
+        raise ValueError("pull_back expects a function on the target chart")
+    return substitute(f, t.images)
+
+
+def jacobian_chain_product(j_inner: SuperMatrix, j_outer_pulled: SuperMatrix) -> SuperMatrix:
+    """Contract two Jacobians in the order the left-derivative chain rule needs.
+
+    j_inner is Jac(T1) and j_outer_pulled is Jac(T2) with entries already
+    rewritten in T1's source coordinates; entry (r, c) of the result is
+    sum_m j_inner[m, c] * j_outer_pulled[r, m].
+    """
+    if j_inner.row_shape != j_outer_pulled.col_shape:
+        raise ValueError("inner rows must match outer columns")
+    chart = j_inner.chart
+    rows, inner = sum(j_outer_pulled.row_shape), sum(j_inner.row_shape)
+    cols = sum(j_inner.col_shape)
+    # The transpose of j_inner^T * j_outer_pulled^T, so each left factor is from j_inner.
+    inner_t = _transpose(j_inner.entries, cols)
+    grid = grid_mul(inner_t, _transpose(j_outer_pulled.entries, inner), chart, rows)
+    return SuperMatrix(chart, j_outer_pulled.row_shape, j_inner.col_shape, _transpose(grid, rows))
+
+
+def _transpose(grid, width: int):
+    """The transpose of a grid whose rows have the given width (also when it has no rows)."""
+    return [[row[c] for row in grid] for c in range(width)]

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from superpi.cli import FAMILIES, SUITES, main
+from superpi import suites
+from superpi.cli import DESK, FAMILIES, SUITES, build_arg_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -75,7 +76,6 @@ class TestVerify:
         assert "berezinian/verdict" in out
 
     def test_failing_report_exits_one(self, capsys, monkeypatch):
-        from superpi import suites
         from superpi.report import VerificationReport
 
         def broken(n):
@@ -202,11 +202,11 @@ class TestTables:
 
     @pytest.mark.parametrize(
         "suite, missing",
-        [(suite, name) for suite, (_, options, _) in SUITES.items()
+        [(suite, name) for suite, (_, options) in SUITES.items()
          for name, default in options if default is None],
     )
     def test_verify_without_a_required_option_exits_two(self, suite, missing, capsys):
-        _, options, _ = SUITES[suite]
+        _, options = SUITES[suite]
         given = [arg for name, default in options if default is None and name != missing
                  for arg in (f"--{name}", "1")]
         with pytest.raises(SystemExit) as exc:
@@ -219,6 +219,18 @@ class TestTables:
 
         covered = {argv[1] for argv in CALLS if argv[0] == "verify"}
         assert set(SUITES) <= covered
+
+    def test_desk_runs_every_suite(self):
+        assert {argv[0] for argv in DESK} == set(SUITES)
+
+    @pytest.mark.parametrize("argv", DESK, ids=" ".join)
+    def test_desk_call_parses(self, argv):
+        args = build_arg_parser().parse_args(["verify", *argv])
+        assert (args.command, args.suite) == ("verify", argv[0])
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_suite_name_resolves_to_a_suite_function(self, suite):
+        assert callable(getattr(suites, "suite_" + suite.replace("-", "_"), None))
 
 
 class TestModuleEntryPoint:

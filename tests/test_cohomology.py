@@ -16,7 +16,6 @@ from superpi.cohomology import (
     TensorSection,
     alternating_quotient_wedge,
     check_cech_cocycle,
-    coboundary_of,
     coboundary_refute,
     coboundary_solve,
     cochain_multiple,
@@ -28,23 +27,22 @@ from superpi.cohomology import (
     odd_degree_decompose,
     omega_representative,
     pullback_tensor,
-    reduced_projective_atlas,
     rewrite_frames,
     wedge_inclusion,
 )
 from superpi.rational import Poly, RatFun, rat_solve
 from superpi.superalgebra import parse_superfunction
 
+from oracles import coboundary_of
+
 
 def rf(text, chart):
-    from superpi.superalgebra import parse_ratfun
-
-    return parse_ratfun(text, chart.even_coords)
+    return parse_superfunction(text, chart).body()
 
 
 class TestPullback:
     def setup_method(self):
-        self.atlas = reduced_projective_atlas(2)
+        self.atlas = build_projective_superspace(2, 0)
         self.u0 = self.atlas.chart("U0")
         self.u1 = self.atlas.chart("U1")
         self.t10 = self.atlas.transition("U1", "U0")  # target U0, source U1
@@ -121,7 +119,7 @@ class TestKeyedSums:
         adds = []
         real_add = RatFun.__add__
         monkeypatch.setattr(RatFun, "__add__", lambda a, b: adds.append(1) or real_add(a, b))
-        atlas = reduced_projective_atlas(3)
+        atlas = build_projective_superspace(3, 0)
         omega = omega_representative(3)
         pulled = pullback_tensor(omega.section("U0", "U1"), atlas.transition("U2", "U1"))
         assert not pulled.is_zero
@@ -315,11 +313,11 @@ class TestCoboundary:
         )
         omega = omega_representative(3)
         assert coboundary_solve(omega, 1) is None
-        assert len(inversions) == len(omega.pair_names()) == 6
+        assert len(inversions) == len(omega.sections) == 6
 
     def test_round_trip_recovery(self):
         rng = random.Random(17)
-        atlas = reduced_projective_atlas(2)
+        atlas = build_projective_superspace(2, 0)
         eta = {}
         for name in atlas.chart_names():
             chart = atlas.chart(name)

@@ -1,7 +1,7 @@
 """Golden behaviour corpus: CLI output must stay identical down to the byte.
 
-`tests/golden/` holds the text and JSON report of every desk-scale
-`superpi verify` call below, plus one G_Pi(2, 4) transition dump and two
+`tests/golden/` holds the text and JSON report of every call of the desk
+battery `superpi.cli.DESK`, plus one G_Pi(2, 4) transition dump and two
 `dump atlas` outputs.  The test regenerates all of them in fresh
 interpreters under two PYTHONHASHSEED values and compares byte for byte, so
 a refactor that changes any representative, verdict or ordering shows up
@@ -22,26 +22,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from superpi.cli import main
+from superpi.cli import DESK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 HASH_SEEDS = ("0", "4242")
 
-_VERIFY = (
-    *(("verify", "pi-projective", "--n", str(n)) for n in range(1, 6)),
-    ("verify", "projective-superspace", "--n", "1", "--m", "1"),
-    ("verify", "projective-superspace", "--n", "2", "--m", "3"),
-    ("verify", "grassmannian", "--d0", "1", "--d1", "1", "--vn", "2", "--vm", "2"),
-    ("verify", "grassmannian", "--d0", "2", "--d1", "0", "--vn", "4", "--vm", "0"),
-    ("verify", "lifting", "--n", "2"),
-    ("verify", "lifting", "--n", "3"),
-    ("verify", "obstruction", "--n", "2"),
-    ("verify", "obstruction", "--n", "3"),
-)
 CALLS = (
-    *(argv + fmt for argv in _VERIFY for fmt in ((), ("--format", "json"))),
-    ("verify", "pi-grassmannian-24", "--format", "json"),
+    *(("verify", *argv, *fmt) for argv in DESK for fmt in ((), ("--format", "json"))),
     ("dump", "transitions", "--family", "pi-grassmannian-24", "--source", "U1", "--target", "U2"),
     ("dump", "atlas", "--family", "pi-projective", "--n", "3"),
     ("dump", "atlas", "--family", "grassmannian", "--d0", "1", "--d1", "1", "--vn", "2", "--vm", "2"),

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from superpi.builders import pi_grassmannian_cells
+from superpi.cli import DESK
 from superpi.suites import G24_EXPECTED_U1_U2
 from superpi.superalgebra import parse_superfunction
 
@@ -21,10 +24,22 @@ def run_script(name):
     )
 
 
-def test_run_all_checks_passes():
-    done = run_script("run_all_checks.py")
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "FAILED" not in done.stdout
+@pytest.fixture(scope="module")
+def desk_run():
+    """One run of run_all_checks.py, shared by the tests that read it."""
+    return run_script("run_all_checks.py")
+
+
+def test_run_all_checks_passes(desk_run):
+    assert desk_run.returncode == 0, desk_run.stdout + desk_run.stderr
+    assert "FAILED" not in desk_run.stdout
+
+
+def test_run_all_checks_prints_one_status_line_per_desk_call(desk_run):
+    lines = desk_run.stdout.splitlines()
+    assert len(lines) == len(DESK), desk_run.stdout
+    for line, argv in zip(lines, DESK):
+        assert line.startswith(" ".join(argv) + " "), line
 
 
 def test_show_pi_grassmannian_24_prints_the_cubic_term():
