@@ -100,28 +100,18 @@ def _merge_odd(m1: OddMonomial, m2: OddMonomial, chart: Chart) -> tuple[int, Odd
 
 
 def _merge_positions(m1: OddMonomial, m2: OddMonomial, chart: Chart) -> tuple[int, OddMonomial]:
-    """_merge_odd for two nonempty monomials, without the table."""
+    """_merge_odd for two nonempty monomials, without the table.
+
+    Both are sorted, so the sign is that of the cross inversions: the pairs
+    of a left and a right factor that the merge swaps.
+    """
     pos = chart.odd_position
     left = [pos(x) for x in m1]
     right = [pos(x) for x in m2]
     if set(left) & set(right):
         return 0, ()
-    sign = 1
-    merged: list[int] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] < right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            # right[j] jumps over the remaining len(left)-i left factors
-            if (len(left) - i) % 2 == 1:
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return sign, tuple(chart.odd_coords[k] for k in merged)
+    inversions = sum(a > b for a in left for b in right)
+    return (-1) ** inversions, tuple(chart.odd_coords[k] for k in sorted(left + right))
 
 
 class SuperFunction:
@@ -467,140 +457,77 @@ def substitute(
 
 # -- canonical text form -------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(.))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            break
-        pos = m.end()
-        if m.group(1):
-            tokens.append(("int", m.group(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2)))
-        else:
-            ch = m.group(3)
-            if ch in "+-*/^()[]":
-                tokens.append((ch, ch))
-            else:
-                raise ValueError(f"unexpected character {ch!r} in expression")
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, chart: Chart):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.chart = chart
-
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def next(self) -> tuple[str, str]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> str:
-        tok, value = self.next()
-        if tok != kind:
-            raise ValueError(f"expected {kind!r}, found {value!r}")
-        return value
-
-    def parse_superfunction(self) -> SuperFunction:
-        terms = [self.parse_term()]
-        while self.peek() in "+-":
-            op, _ = self.next()
-            term = self.parse_term()
-            terms.append(term if op == "+" else -term)
-        self.expect("end")
-        return SuperFunction.sum(self.chart, terms)
-
-    def parse_term(self) -> SuperFunction:
-        if self.peek() == "[":
-            self.next()
-            return self.finish_monomial(RatFun.one(self.chart.even_coords))
-        coeff = self.parse_ratfun()
-        if self.peek() == "*":
-            self.next()
-            self.expect("[")
-            return self.finish_monomial(coeff)
-        return SuperFunction.from_ratfun(self.chart, coeff)
-
-    def finish_monomial(self, coeff: RatFun) -> SuperFunction:
-        names = [self.expect("name")]
-        while self.peek() == "*":
-            self.next()
-            names.append(self.expect("name"))
-        self.expect("]")
-        sf = SuperFunction.from_ratfun(self.chart, coeff)
-        for name in names:
-            sf = sf * SuperFunction.coordinate(self.chart, name)
-        return sf
-
-    def parse_ratfun(self) -> RatFun:
-        self.expect("(")
-        num = self.parse_poly()
-        self.expect(")")
-        if self.peek() == "/":
-            self.next()
-            self.expect("(")
-            den = self.parse_poly()
-            self.expect(")")
-            return RatFun(num, den)
-        return RatFun.from_poly(num)
-
-    def parse_poly(self) -> Poly:
-        total = self.parse_poly_term()
-        while self.peek() in "+-":
-            op, _ = self.next()
-            term = self.parse_poly_term()
-            total = total + term if op == "+" else total - term
-        return total
-
-    def parse_poly_term(self) -> Poly:
-        variables = self.chart.even_coords
-        sign = 1
-        while self.peek() in "+-":
-            op, _ = self.next()
-            if op == "-":
-                sign = -sign
-        coeff = Fraction(sign)
-        factors: list[tuple[str, int]] = []
-        saw_coeff = False
-        if self.peek() == "int":
-            _, a = self.next()
-            value = Fraction(int(a))
-            if self.peek() == "/":
-                self.next()
-                value = value / int(self.expect("int"))
-            coeff *= value
-            saw_coeff = True
-        while True:
-            if self.peek() == "*":
-                self.next()
-                continue
-            if self.peek() != "name":
-                break
-            _, name = self.next()
-            power = 1
-            if self.peek() == "^":
-                self.next()
-                power = int(self.expect("int"))
-            factors.append((name, power))
-        if not factors and not saw_coeff:
-            raise ValueError("empty polynomial term")
-        term = Poly.const(variables, coeff)
-        for name, power in factors:
-            term = term * (Poly.var(variables, name) ** power)
-        return term
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S")
 
 
 def parse_superfunction(text: str, chart: Chart) -> SuperFunction:
-    """Parse the canonical text form back into a SuperFunction."""
-    return _Parser(text, chart).parse_superfunction()
+    """Read text written in the canonical form back into a SuperFunction.
+
+    One grammar, each rule evaluated in the chart's superfunction ring:
+
+        sum     := product (('+'|'-') product)*
+        product := factor (('*'|'/') factor)*
+        factor  := ('+'|'-') factor | atom ['^' int]
+        atom    := int | coordinate | '(' sum ')' | '[' sum ']'
+
+    A quotient a/b is a * b.invert(), so b must be even with a nonzero body
+    (ValueError, ZeroDivisionError otherwise).  Brackets hold odd monomials;
+    their product picks up its Koszul sign.  The printer's output reads back
+    with the same monomials and the same num and den polys, since RatFun
+    keeps one normal form.  The grammar accepts more than the printer emits
+    ("z10*z20" without parentheses, for one), on purpose: no CLI command and
+    no outside input reaches the parser, only text that the program and its
+    tests write.  Malformed text and unknown names raise ValueError.
+    """
+    tokens = _TOKEN_RE.findall(text) + [""]
+    pos = 0
+
+    def take(expected: Optional[str] = None) -> str:
+        nonlocal pos
+        tok = tokens[pos]
+        if expected is not None and tok != expected:
+            raise ValueError(f"expected {expected or 'end'!r}, found {tok or 'end'!r}")
+        pos += 1
+        return tok
+
+    def sum_() -> SuperFunction:
+        terms = [product()]
+        while tokens[pos] in ("+", "-"):
+            terms.append(-product() if take() == "-" else product())
+        return SuperFunction.sum(chart, terms)
+
+    def product() -> SuperFunction:
+        value = factor()
+        while tokens[pos] in ("*", "/"):
+            value = value * factor() if take() == "*" else value * factor().invert()
+        return value
+
+    def factor() -> SuperFunction:
+        if tokens[pos] in ("+", "-"):
+            return -factor() if take() == "-" else factor()
+        value = atom()
+        if tokens[pos] == "^":
+            take()
+            power = take()
+            if not (power.isascii() and power.isdigit()):
+                raise ValueError(f"expected an integer exponent, found {power!r}")
+            value = value ** int(power)
+        return value
+
+    def atom() -> SuperFunction:
+        tok = take()
+        if tok.isascii() and tok.isdigit():
+            return SuperFunction.const(chart, int(tok))
+        if tok in chart.coords:
+            return SuperFunction.coordinate(chart, tok)
+        if tok in ("(", "["):
+            value = sum_()
+            take(")" if tok == "(" else "]")
+            return value
+        if tok.isidentifier():
+            raise ValueError(f"unknown coordinate {tok!r} on chart {chart.name!r}")
+        raise ValueError(f"unexpected {tok or 'end'!r}")
+
+    value = sum_()
+    take("")
+    return value

@@ -22,18 +22,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-from superpi.cli import DESK, main
+from superpi.cli import DESK, _emit, build_arg_parser, main, verify
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 HASH_SEEDS = ("0", "4242")
 
-CALLS = (
-    *(("verify", *argv, *fmt) for argv in DESK for fmt in ((), ("--format", "json"))),
+FORMATS = ((), ("--format", "json"))
+DUMPS = (
     ("dump", "transitions", "--family", "pi-grassmannian-24", "--source", "U1", "--target", "U2"),
     ("dump", "atlas", "--family", "pi-projective", "--n", "3"),
     ("dump", "atlas", "--family", "grassmannian", "--d0", "1", "--d1", "1", "--vn", "2", "--vm", "2"),
 )
+CALLS = (*(("verify", *argv, *fmt) for argv in DESK for fmt in FORMATS), *DUMPS)
 
 
 def file_name(argv: tuple[str, ...]) -> str:
@@ -44,15 +45,29 @@ def file_name(argv: tuple[str, ...]) -> str:
 
 
 def render_all() -> dict[str, str]:
-    """Stdout of every corpus call, run in sequence in this interpreter."""
+    """Stdout of every corpus call, run in sequence in this interpreter.
+
+    Each DESK suite runs once: the CLI's own `_emit` writes its text and
+    its JSON file from the one report.  The dumps run through `main`.
+    """
     out = {}
-    for argv in CALLS:
+
+    def capture(argv: tuple[str, ...], run) -> None:
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
-            code = main(list(argv))
+            code = run()
         if code != 0:
             raise SystemExit(f"{' '.join(argv)} exited with {code}")
         out[file_name(argv)] = buffer.getvalue()
+
+    parser = build_arg_parser()
+    for argv in DESK:
+        report = verify(parser.parse_args(["verify", *argv]))
+        for fmt in FORMATS:
+            args = parser.parse_args(["verify", *argv, *fmt])
+            capture(("verify", *argv, *fmt), lambda: _emit(report, args))
+    for argv in DUMPS:
+        capture(argv, lambda: main(list(argv)))
     return out
 
 
@@ -78,6 +93,7 @@ def test_output_matches_corpus_across_hash_seeds():
         stdout, stderr = proc.communicate(timeout=600)
         assert proc.returncode == 0, f"PYTHONHASHSEED={seed}: {stderr}"
         rendered = json.loads(stdout)
+        assert sorted(rendered) == sorted(file_name(argv) for argv in CALLS)
         for name, text in rendered.items():
             expected = (GOLDEN / name).read_bytes()
             assert text.encode("utf-8") == expected, f"PYTHONHASHSEED={seed}: {name} differs"

@@ -5,7 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superpi.builders import derive_transition_from_cells, pi_grassmannian_cells
+from superpi.builders import (
+    build_pi_grassmannian,
+    derive_transition_from_cells,
+    pi_grassmannian_cells,
+)
 import superpi.rational as rational
 from superpi.rational import RatFun
 from superpi.superalgebra import (
@@ -514,7 +518,46 @@ class TestTextRoundTrip:
         assert parse_superfunction("(0)", U0).is_zero
 
     def test_reject_garbage(self):
-        with pytest.raises(ValueError):
-            parse_superfunction("(z10", U0)
-        with pytest.raises(ValueError):
-            parse_superfunction("(z10) $ (z20)", U0)
+        for text in (
+            "(z10",
+            "(z10) $ (z20)",  # stray character
+            "(z10) (z20)",  # trailing token
+            "(1)*[th10*th20",  # unclosed bracket
+            "(z10)^z20",  # exponent not an integer
+            "(z10)^",  # exponent missing
+            "",
+            "(z10 - )",
+        ):
+            with pytest.raises(ValueError):
+                parse_superfunction(text, U0)
+
+    @pytest.mark.parametrize("text", ["(w10)", "(z10*w10)", "[eta]", "(1)*[th10*eta]"])
+    def test_unknown_names_raise_value_error(self, text):
+        with pytest.raises(ValueError, match="unknown coordinate"):
+            parse_superfunction(text, U0)
+
+    def test_divisors_fail_as_invert_does(self):
+        with pytest.raises(ValueError, match="only even"):
+            parse_superfunction("(1)/[th10]", U0)
+        with pytest.raises(ZeroDivisionError):
+            parse_superfunction("(1)/(0)", U0)
+
+    def test_precedence_follows_the_printer(self):
+        z10 = SuperFunction.coordinate(U0, "z10")
+        th10 = SuperFunction.coordinate(U0, "th10")
+        th20 = SuperFunction.coordinate(U0, "th20")
+        assert sf("-(z10)^2").equals(-(z10 * z10))
+        # The quotient binds before the bracket, whose reordering costs a sign.
+        f = sf("(1)/(z10)*[th20*th10]")
+        assert f.equals(-(z10.invert() * th10 * th20))
+        assert f.to_str() == "(-1)/(z10)*[th10*th20]"
+
+    def test_every_g24_image_round_trips_exactly(self):
+        atlas = build_pi_grassmannian(2, 4)
+        images = [
+            (t.source, img) for t in atlas.transitions.values() for img in t.images.values()
+        ]
+        assert len(atlas.transitions) == 36 and len(images) == 288
+        for chart, f in images:
+            back = parse_superfunction(f.to_str(), chart)
+            assert same_representation(back, f), f.to_str()
