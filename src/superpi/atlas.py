@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .report import FAIL, PASS, UNDETERMINED, VerificationReport
+from .report import FAIL, PASS, UNDETERMINED, VerificationReport, mismatch
 from .superalgebra import Chart, Pullback, SuperFunction, check_image
 from .supermatrix import SuperMatrix, berezinian
 
@@ -84,9 +84,9 @@ def transition_mismatch(a: TransitionMap, b: TransitionMap) -> str:
     if (a.source, a.target) != (b.source, b.target):
         return f"charts {a.source.name}->{a.target.name} vs {b.source.name}->{b.target.name}"
     for name in a.target.coords:
-        if not a.images[name].equals(b.images[name]):
-            diff = a.images[name] - b.images[name]
-            return f"coordinate {name}: difference {diff.to_str()}"
+        witness = mismatch(a.images[name], b.images[name])
+        if witness:
+            return f"coordinate {name}: {witness}"
     return ""
 
 
@@ -129,13 +129,27 @@ class Atlas:
         return [(i, j) for i in names for j in names if i != j]
 
 
+def atlas_mismatch(a: Atlas, b: Atlas) -> str:
+    """The empty string when a and b are equal, else a witness of the first difference.
+
+    Equal atlases have the same charts in the same order and equal
+    transitions on the same pairs; a differing transition is named by its
+    pair and its transition_mismatch witness.
+    """
+    if a.charts != b.charts:
+        return f"charts differ: {','.join(a.chart_names())} vs {','.join(b.chart_names())}"
+    if a.transitions.keys() != b.transitions.keys():
+        return "the atlases glue different chart pairs"
+    for (i, j), t in a.transitions.items():
+        witness = transition_mismatch(t, b.transitions[(i, j)])
+        if witness:
+            return f"transition {i}->{j}: {witness}"
+    return ""
+
+
 def atlases_equal(a: Atlas, b: Atlas) -> bool:
-    """The same charts in the same order and equal transitions on the same pairs."""
-    return (
-        a.charts == b.charts
-        and a.transitions.keys() == b.transitions.keys()
-        and not any(transition_mismatch(t, b.transitions[k]) for k, t in a.transitions.items())
-    )
+    """Whether atlas_mismatch finds no difference between a and b."""
+    return not atlas_mismatch(a, b)
 
 
 def check_cocycle(atlas: Atlas) -> VerificationReport:

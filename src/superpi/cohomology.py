@@ -32,6 +32,7 @@ from .builders import build_projective_superspace, reduce_atlas
 from .rational import (
     Poly,
     RatFun,
+    equal_by_key,
     exact,
     rat_mat_inverse,
     solve_fraction_system,
@@ -41,11 +42,6 @@ from .report import FAIL, PASS, VerificationReport
 from .superalgebra import Chart, Pullback, SuperFunction
 
 SectionKey = tuple[str, tuple[str, str]]  # (vector coord, (form coord a, form coord b))
-
-
-def _components_equal(mine: Mapping, theirs: Mapping) -> bool:
-    # No zero component is ever stored, so equal sections share their keys.
-    return mine.keys() == theirs.keys() and all(c.equals(theirs[k]) for k, c in mine.items())
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,7 @@ class TensorSection:
     def equals(self, other: TensorSection) -> bool:
         if self.chart != other.chart:
             return False
-        return _components_equal(self.components, other.components)
+        return equal_by_key(self.components, other.components)
 
     def to_str(self) -> str:
         if not self.components:
@@ -185,9 +181,7 @@ class CechCochain1:
         return all(s.is_zero for s in self.sections.values())
 
     def equals(self, other: CechCochain1) -> bool:
-        if set(self.sections) != set(other.sections):
-            return False
-        return all(self.sections[k].equals(other.sections[k]) for k in self.sections)
+        return equal_by_key(self.sections, other.sections)
 
     def scale(self, value) -> CechCochain1:
         return CechCochain1(
@@ -231,13 +225,9 @@ def check_cech_cocycle(cochain: CechCochain1) -> VerificationReport:
         pulled = pullback_tensor(
             cochain.section(i, j), cochain.atlas.transition(k, j)
         )
-        lhs = pulled + cochain.section(j, k)
-        rhs = cochain.section(i, k)
-        if lhs.equals(rhs):
-            report.add(f"triple/{i},{j},{k}", PASS)
-        else:
-            diff = lhs - rhs
-            report.add(f"triple/{i},{j},{k}", FAIL, f"difference {diff.to_str()}")
+        report.add_equal(
+            f"triple/{i},{j},{k}", pulled + cochain.section(j, k), cochain.section(i, k)
+        )
     return report
 
 
@@ -371,7 +361,7 @@ class HomogeneousSection:
     def equals(self, other: HomogeneousSection) -> bool:
         if (self.n, self.chart_index) != (other.n, other.chart_index):
             return False
-        return _components_equal(self.components, other.components)
+        return equal_by_key(self.components, other.components)
 
     def to_str(self) -> str:
         if not self.components:
@@ -538,30 +528,15 @@ def lifting_verify(n: int) -> VerificationReport:
         s_i = euler_preimage_section(n, i)
         image = alternating_quotient_section(s_i)
         expected = {(k, k): one for k in range(n + 1) if k != i}
-        ok = set(image) == set(expected) and all(
-            image[key].equals(one) for key in expected
-        )
         report.add_bool(
             f"euler-image/U{i}",
-            ok,
+            equal_by_key(image, expected),
             f"alternating quotient gave {sorted(image)}",
         )
     for i, j in combinations(range(n + 1), 2):
         s_ij = rewrite_frames(euler_preimage_section(n, i), j) - euler_preimage_section(n, j)
-        closed = expected_coboundary(n, i, j)
-        diff = s_ij - closed
-        report.add_bool(
-            f"coboundary-form/U{i},U{j}",
-            s_ij.equals(closed),
-            f"difference {diff.to_str()}",
-        )
-        lifted = lifted_obstruction_section(n, i, j)
-        diff2 = lifted - s_ij
-        report.add_bool(
-            f"lift-matches/U{i},U{j}",
-            lifted.equals(s_ij),
-            f"difference {diff2.to_str()}",
-        )
+        report.add_equal(f"coboundary-form/U{i},U{j}", s_ij, expected_coboundary(n, i, j))
+        report.add_equal(f"lift-matches/U{i},U{j}", lifted_obstruction_section(n, i, j), s_ij)
     for i in range(n + 1):
         coords = [k for k in range(n + 1) if k != i]
         for a, b in combinations(coords, 2):

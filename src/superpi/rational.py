@@ -49,7 +49,8 @@ gcd cache), and only the final quotient is normalised.  a + b and a - b
 are sums of two terms.  Keyed sums, such as the components of a
 superfunction or of a Cech section, go through sum_by_key, the one keyed
 accumulation beside RatFun.sum: a key with one term keeps it as it is,
-and a key with several gets one RatFun.sum.
+and a key with several gets one RatFun.sum.  Keyed families are
+compared by equal_by_key.
 
 The inner loops stay in C where they can.  A product with a one-term
 factor is one dict comprehension, since shifting distinct exponents keeps
@@ -605,6 +606,14 @@ def sum_by_key(
     for key, group in more.items():
         out[key] = RatFun.sum(group)
     return out
+
+
+def equal_by_key(mine: Mapping[Key, Any], theirs: Mapping[Key, Any]) -> bool:
+    """Whether two keyed families are equal, value by value through equals.
+
+    No zero value is ever stored, so equal families share their keys.
+    """
+    return mine.keys() == theirs.keys() and all(v.equals(theirs[k]) for k, v in mine.items())
 
 
 def _cross_cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:

@@ -18,6 +18,17 @@ UNDETERMINED = "undetermined"
 _STATUSES = (PASS, FAIL, UNDETERMINED)
 
 
+def mismatch(actual, expected) -> str:
+    """The empty string when actual equals expected, else the witness of the difference.
+
+    actual and expected are values with equals, subtraction and to_str;
+    the difference is formed and printed only when they differ.
+    """
+    if actual.equals(expected):
+        return ""
+    return "difference " + (actual - expected).to_str()
+
+
 @dataclass
 class CheckResult:
     identifier: str
@@ -40,11 +51,16 @@ class VerificationReport:
     def add(self, identifier: str, status: str, witness: str = "", seconds: float = 0.0):
         self.checks.append(CheckResult(identifier, status, witness, seconds))
 
-    def add_bool(self, identifier: str, ok: bool, witness_on_fail: str = "mismatch"):
+    def add_bool(self, identifier: str, ok: bool, witness_on_fail: str):
         if ok:
             self.add(identifier, PASS)
         else:
             self.add(identifier, FAIL, witness_on_fail)
+
+    def add_equal(self, identifier: str, actual, expected):
+        """PASS when actual equals expected, else FAIL with their mismatch."""
+        witness = mismatch(actual, expected)
+        self.add(identifier, FAIL if witness else PASS, witness)
 
     def merge(self, other: VerificationReport, prefix: str = ""):
         for check in other.checks:

@@ -8,9 +8,11 @@ CLI exit status can mirror the report.
 
 from __future__ import annotations
 
+from math import comb
+
 from .atlas import (
     atlas_classification,
-    atlases_equal,
+    atlas_mismatch,
     check_berezinian_trivial,
     check_cocycle,
 )
@@ -66,12 +68,8 @@ def suite_pi_projective(n: int) -> VerificationReport:
         f"verdict was {verdict.witness!r}",
     )
 
-    derived = build_pi_grassmannian(1, n + 1)
-    report.add_bool(
-        "derivation/cells-match-closed",
-        atlases_equal(derived, atlas),
-        "cell-derived transitions differ from the closed form",
-    )
+    witness = atlas_mismatch(build_pi_grassmannian(1, n + 1), atlas)
+    report.add("derivation/cells-match-closed", FAIL if witness else PASS, witness)
 
     summary = atlas_classification(atlas)
     if n == 1:
@@ -95,10 +93,7 @@ def suite_pi_projective(n: int) -> VerificationReport:
         )
         extracted = extract_obstruction(atlas)
         lam = cochain_multiple(extracted, omega_representative(n))
-        if lam == 1:
-            report.add("obstruction/lambda", PASS, "lambda = 1")
-        else:
-            report.add("obstruction/lambda", FAIL, f"lambda = {lam}")
+        report.add("obstruction/lambda", PASS if lam == 1 else FAIL, f"lambda = {lam}")
     return report
 
 
@@ -133,8 +128,6 @@ def suite_grassmannian(d0: int, d1: int, n: int, m: int) -> VerificationReport:
     """Cell count and gluing for a derived super Grassmannian atlas."""
     report = VerificationReport(f"grassmannian ({d0}|{d1}; {n}|{m})")
     cells = grassmannian_cells(d0, d1, n, m)
-    from math import comb
-
     expected = comb(n, d0) * comb(m, d1)
     report.add_bool(
         "cells/count",
@@ -162,40 +155,21 @@ def suite_pi_grassmannian_24() -> VerificationReport:
         name: parse_superfunction(text, chart1)
         for name, text in G24_EXPECTED_U1_U2.items()
     }
-    for name in sorted(expected):
-        actual = t12.images[name]
-        diff = actual - expected[name]
-        report.add_bool(
-            f"transitions/U1->U2/{name}",
-            actual.equals(expected[name]),
-            f"difference {diff.to_str()}",
-        )
-    for name in sorted(t12.target.even_coords):
-        actual = t12.images[name].degree_part(0)
-        report.add_bool(
-            f"reduced/U1->U2/{name}",
-            actual.equals(expected[name].degree_part(0)),
-            f"reduced part {actual.to_str()}",
-        )
-    for name in sorted(t12.target.odd_coords):
-        actual = t12.images[name].degree_part(1)
-        report.add_bool(
-            f"cotangent-layer/U1->U2/{name}",
-            actual.equals(expected[name].degree_part(1)),
-            f"degree-1 part {actual.to_str()}",
-        )
-    cubic = t12.images["th22"].degree_part(3)
-    report.add_bool(
-        "cubic-term/U1->U2/th22",
-        cubic.equals(expected["th22"].degree_part(3)),
-        f"degree-3 part {cubic.to_str()}",
-    )
-    for name in ("th12", "xi12", "xi22"):
-        report.add_bool(
-            f"cubic-term/U1->U2/{name}-absent",
-            t12.images[name].degree_part(3).is_zero,
-            f"unexpected degree-3 part in {name}",
-        )
+    # (layer, degree part compared or None for the whole image, coordinates);
+    # an expected cubic term that is zero is checked as "<name>-absent".
+    layers = [
+        ("transitions", None, sorted(expected)),
+        ("reduced", 0, sorted(t12.target.even_coords)),
+        ("cotangent-layer", 1, sorted(t12.target.odd_coords)),
+        ("cubic-term", 3, sorted(t12.target.odd_coords)),
+    ]
+    for layer, degree, names in layers:
+        for name in names:
+            actual, wanted = t12.images[name], expected[name]
+            if degree is not None:
+                actual, wanted = actual.degree_part(degree), wanted.degree_part(degree)
+            absent = "-absent" if layer == "cubic-term" and wanted.is_zero else ""
+            report.add_equal(f"{layer}/U1->U2/{name}{absent}", actual, wanted)
     return report
 
 
@@ -203,16 +177,13 @@ def suite_lifting(n: int) -> VerificationReport:
     return lifting_verify(n)
 
 
-def suite_obstruction(n: int, degree_bound: int = 3) -> VerificationReport:
+def suite_obstruction(n: int, degree_bound: int) -> VerificationReport:
     """Representative cocycle, extraction and bounded nontriviality evidence."""
     report = VerificationReport(f"obstruction n={n} degree-bound={degree_bound}")
     omega = omega_representative(n)
     report.merge(check_cech_cocycle(omega), prefix="cocycle/")
     extracted = extract_obstruction(build_pi_projective_closed(n))
     lam = cochain_multiple(extracted, omega)
-    if lam == 1:
-        report.add("extraction/lambda", PASS, "lambda = 1")
-    else:
-        report.add("extraction/lambda", FAIL, f"lambda = {lam}")
+    report.add("extraction/lambda", PASS if lam == 1 else FAIL, f"lambda = {lam}")
     report.merge(coboundary_refute(omega, degree_bound))
     return report

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .rational import Poly, RatFun, sum_by_key
+from .rational import Poly, RatFun, equal_by_key, sum_by_key
 
 OddMonomial = tuple[str, ...]
 
@@ -216,9 +216,7 @@ class SuperFunction:
 
     def equals(self, other: SuperFunction) -> bool:
         self._require_same_chart(other)
-        # No zero component is ever stored, so equal functions share their monomials.
-        mine, theirs = self.components, other.components
-        return mine.keys() == theirs.keys() and all(c.equals(theirs[m]) for m, c in mine.items())
+        return equal_by_key(self.components, other.components)
 
     def _require_same_chart(self, other: SuperFunction) -> None:
         if self.chart != other.chart:

@@ -11,6 +11,7 @@ from superpi.atlas import (
     Atlas,
     TransitionMap,
     atlas_classification,
+    atlas_mismatch,
     atlases_equal,
     check_berezinian_trivial,
     check_cocycle,
@@ -217,6 +218,18 @@ class TestAtlasesEqual:
         )
         assert not atlases_equal(part, full)
         assert not atlases_equal(full, part)
+        assert atlas_mismatch(part, full) == "the atlases glue different chart pairs"
+
+    def test_different_charts(self):
+        witness = atlas_mismatch(build_projective_superspace(2, 1), build_projective_superspace(1, 1))
+        assert witness == "charts differ: U0,U1,U2 vs U0,U1"
+
+    def test_first_differing_transition_is_named(self):
+        closed, doubled = build_pi_projective_closed(2), build_pi_projective_closed(2, 2)
+        assert atlas_mismatch(closed, closed) == ""
+        assert atlas_mismatch(doubled, closed) == (
+            "transition U0->U1: coordinate z21: difference (1)/(z10^2)*[th10*th20]"
+        )
 
 
 class TestSuperJacobian:

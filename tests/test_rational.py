@@ -16,6 +16,7 @@ from superpi.rational import (
     poly_gcd,
     rat_mat_inverse,
     rat_solve,
+    equal_by_key,
     solve_fraction_system,
     sum_by_key,
 )
@@ -801,6 +802,21 @@ class TestSumByKey:
         out = sum_by_key({}, [("k", a), ("k", -a), ("j", a)])
         assert list(out) == ["k", "j"]
         assert out["k"].is_zero and out["j"] is a
+
+
+class TestEqualByKey:
+    """equal_by_key: equal families share their keys and agree value by value."""
+
+    def test_values_compare_by_equals(self):
+        x, y = var("x"), var("y")
+        assert equal_by_key({"k": x / y, "j": y}, {"j": y, "k": (x * x) / (x * y)})
+        assert not equal_by_key({"k": x / y, "j": y}, {"k": x / y, "j": x})
+
+    def test_different_keys_differ(self):
+        x = var("x")
+        assert not equal_by_key({"k": x}, {"k": x, "j": x})
+        assert not equal_by_key({"k": x, "j": x}, {"k": x})
+        assert equal_by_key({}, {})
 
 
 class TestLinearAlgebra:
