@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .report import FAIL, PASS, UNDETERMINED, VerificationReport, mismatch
+from .report import PASS, UNDETERMINED, VerificationReport, mismatch
 from .superalgebra import Chart, Pullback, SuperFunction, check_image
 from .supermatrix import SuperMatrix, berezinian
 
@@ -147,11 +147,6 @@ def atlas_mismatch(a: Atlas, b: Atlas) -> str:
     return ""
 
 
-def atlases_equal(a: Atlas, b: Atlas) -> bool:
-    """Whether atlas_mismatch finds no difference between a and b."""
-    return not atlas_mismatch(a, b)
-
-
 def check_cocycle(atlas: Atlas) -> VerificationReport:
     """Round-trip and triple-overlap consistency of every transition.
 
@@ -194,7 +189,7 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
         del pull_back
     report = VerificationReport("cocycle")
     for (identifier, *_), witness in zip(checks, witnesses):
-        report.add(identifier, FAIL if witness else PASS, witness)
+        report.add_witness(identifier, witness)
     return report
 
 

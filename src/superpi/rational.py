@@ -41,6 +41,16 @@ already normal returns it without normalising again: a zero operand of
 flips the sign of num only, which keeps every rule above.  This relies
 on the normalisation being idempotent and commuting with negation.
 
+A monomial fraction, one term over one term such as z_k/z_j or 1/z_j^2,
+needs no normalisation pass at all.  Its normal form depends only on the
+reduced coefficient p/q with q > 0 and the signed exponent vector
+e = (num exponents) - (den exponents): it is p*x^max(e, 0) over
+q*x^max(-e, 0), since a one-term part never reaches the probe or the gcd.
+Products, quotients, inverses and derivatives of monomial fractions, and
+every constant, variable or one-term polynomial taken as a fraction, are
+built that way by _monomial, with int arithmetic and one gcd.  Every
+other value goes through _normalize_pair, the one general normaliser.
+
 A sum of any number of terms is normalised once, by RatFun.sum, the one
 place where rational functions are summed: numerators over equal
 denominators are added as polynomials, the groups are brought onto the
@@ -52,8 +62,10 @@ accumulation beside RatFun.sum: a key with one term keeps it as it is,
 and a key with several gets one RatFun.sum.  Keyed families are
 compared by equal_by_key.
 
-The inner loops stay in C where they can.  A product with a one-term
-factor is one dict comprehension, since shifting distinct exponents keeps
+The inner loops stay in C where they can.  A product of two monomial
+fractions multiplies two pairs of ints and adds two exponent vectors, and
+never builds a polynomial product.  A product with a one-term factor is
+one dict comprehension, since shifting distinct exponents keeps
 them distinct and nothing cancels; exponents are added and subtracted
 with map over operator.add and operator.sub, and the graded-lex maximum
 is max over (total degree, exponents) pairs.  The coprimality probe's
@@ -385,7 +397,13 @@ class RatFun:
 
     @classmethod
     def from_poly(cls, p: Poly) -> RatFun:
-        return cls(p, Poly.const(p.variables, 1))
+        terms = p.terms
+        if len(terms) > 1:
+            return cls(p, Poly.const(p.variables, 1))
+        if not terms:
+            return _monomial(p.variables, 0, 1, ())
+        ((exps, coeff),) = terms.items()
+        return _monomial(p.variables, coeff.numerator, coeff.denominator, exps)
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> RatFun:
@@ -522,7 +540,23 @@ class RatFun:
         value = self.num.is_constant()
         return value if value in (1, -1) else 0
 
+    def _as_monomial(self) -> Optional[tuple[int, int, Exponent, Exponent]]:
+        """(p, q, a, b) when this is p*x^a / (q*x^b), one term over one, else None."""
+        num, den = self.num.terms, self.den.terms
+        if len(num) != 1 or len(den) != 1:
+            return None
+        ((num_exps, p),) = num.items()
+        ((den_exps, q),) = den.items()
+        return p, q, num_exps, den_exps
+
     def __mul__(self, other: RatFun) -> RatFun:
+        a = self._as_monomial()
+        b = None if a is None else other._as_monomial()
+        if b is not None:
+            self.num._require_same_variables(other.num)
+            (pa, qa, ea, fa), (pb, qb, eb, fb) = a, b
+            exps = map(sub, map(add, ea, eb), map(add, fa, fb))
+            return _monomial(self.num.variables, pa * pb, qa * qb, tuple(exps))
         # A factor of 1 or -1 leaves the other factor's normal form intact.
         for unit, value in ((self, other), (other, self)):
             sign = unit._unit_sign()
@@ -538,6 +572,13 @@ class RatFun:
     def __truediv__(self, other: RatFun) -> RatFun:
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
+        a = self._as_monomial()
+        b = None if a is None else other._as_monomial()
+        if b is not None:
+            self.num._require_same_variables(other.num)
+            (pa, qa, ea, fa), (pb, qb, eb, fb) = a, b
+            exps = map(sub, map(add, ea, fb), map(add, fa, eb))
+            return _monomial(self.num.variables, pa * qb, qa * pb, tuple(exps))
         num_a, den_a = self.num, self.den
         num_b, den_b = other.num, other.den
         num_a, num_b = _cross_cancel(num_a, num_b)
@@ -550,6 +591,10 @@ class RatFun:
     def inverse(self) -> RatFun:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero rational function")
+        a = self._as_monomial()
+        if a is not None:
+            p, q, num_exps, den_exps = a
+            return _monomial(self.num.variables, q, p, tuple(map(sub, den_exps, num_exps)))
         return RatFun(self.den, self.num)
 
     def __pow__(self, power: int) -> RatFun:
@@ -558,7 +603,18 @@ class RatFun:
         return RatFun(self.num**power, self.den**power)
 
     def derivative(self, name: str) -> RatFun:
-        """Quotient-rule derivative with respect to one variable."""
+        """Quotient-rule derivative with respect to one variable.
+
+        The derivative of (p/q) * x^e is (p*e_i/q) * x^(e - 1_i).
+        """
+        a = self._as_monomial()
+        if a is not None:
+            p, q, num_exps, den_exps = a
+            i = self.num.variables.index(name)
+            exps = list(map(sub, num_exps, den_exps))
+            power = exps[i]
+            exps[i] -= 1
+            return _monomial(self.num.variables, p * power, q, exps)
         dn = self.num.derivative(name)
         dd = self.den.derivative(name)
         return RatFun(dn * self.den - self.num * dd, self.den * self.den)
@@ -633,6 +689,31 @@ def _cross_cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         if g.is_constant() is None:
             return _cofactors(a, b, g)
     return a, b
+
+
+def _monomial(variables: tuple[str, ...], p: int, q: int, exps: Sequence[int]) -> RatFun:
+    """The normal form of (p/q) * x^exps, for ints p and q != 0 and signed exps.
+
+    This is what _normalize_pair returns for a one-term num and den, which
+    never reach its probe or gcd: gcd(p, q) divides out, the monomial strip
+    leaves x^max(exps, 0) over x^max(-exps, 0), and the one coefficient of
+    den is made positive.  p = 0 gives the zero normal form, and exps may be
+    () then.
+    """
+    if q < 0:
+        p, q = -p, -q
+    if not p:
+        return RatFun._raw(
+            Poly._raw(variables, {}), Poly._raw(variables, {(0,) * len(variables): 1})
+        )
+    g = gcd(p, q)
+    if g != 1:
+        p //= g
+        q //= g
+    return RatFun._raw(
+        Poly._raw(variables, {tuple([e if e > 0 else 0 for e in exps]): p}),
+        Poly._raw(variables, {tuple([-e if e < 0 else 0 for e in exps]): q}),
+    )
 
 
 def _normalize_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:

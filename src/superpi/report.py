@@ -57,10 +57,13 @@ class VerificationReport:
         else:
             self.add(identifier, FAIL, witness_on_fail)
 
+    def add_witness(self, identifier: str, witness: str):
+        """PASS when the witness of a difference is empty, else FAIL with it."""
+        self.add(identifier, FAIL if witness else PASS, witness)
+
     def add_equal(self, identifier: str, actual, expected):
         """PASS when actual equals expected, else FAIL with their mismatch."""
-        witness = mismatch(actual, expected)
-        self.add(identifier, FAIL if witness else PASS, witness)
+        self.add_witness(identifier, mismatch(actual, expected))
 
     def merge(self, other: VerificationReport, prefix: str = ""):
         for check in other.checks:

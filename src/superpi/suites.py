@@ -68,8 +68,9 @@ def suite_pi_projective(n: int) -> VerificationReport:
         f"verdict was {verdict.witness!r}",
     )
 
-    witness = atlas_mismatch(build_pi_grassmannian(1, n + 1), atlas)
-    report.add("derivation/cells-match-closed", FAIL if witness else PASS, witness)
+    report.add_witness(
+        "derivation/cells-match-closed", atlas_mismatch(build_pi_grassmannian(1, n + 1), atlas)
+    )
 
     summary = atlas_classification(atlas)
     if n == 1:
@@ -146,7 +147,7 @@ def suite_pi_grassmannian_24() -> VerificationReport:
     count = len(atlas.charts)
     report.add_bool("cells/count", count == 6, f"{count} cells, expected 6")
     for (i, j), witness in pi_witnesses.items():
-        report.add_bool(f"pi-symmetry/{i}->{j}", not witness, witness)
+        report.add_witness(f"pi-symmetry/{i}->{j}", witness)
     report.merge(check_cocycle(atlas), prefix="cocycle/")
 
     t12 = atlas.transition("U1", "U2")

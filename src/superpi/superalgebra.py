@@ -219,7 +219,8 @@ class SuperFunction:
         return equal_by_key(self.components, other.components)
 
     def _require_same_chart(self, other: SuperFunction) -> None:
-        if self.chart != other.chart:
+        # Identity first: a dataclass comparison reads every field.
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ValueError(
                 f"charts differ: {self.chart.name!r} vs {other.chart.name!r}"
             )
@@ -432,7 +433,7 @@ class Pullback:
         return cached
 
     def __call__(self, f: SuperFunction) -> SuperFunction:
-        if f.chart != self.source:
+        if f.chart is not self.source and f.chart != self.source:
             raise ValueError(
                 f"pullback from chart {self.source.name!r} applied to a function "
                 f"on {f.chart.name!r}"

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from superpi import builders
-from superpi.atlas import atlases_equal, check_cocycle, identity_transition, transition_mismatch
+from superpi.atlas import atlas_mismatch, check_cocycle, identity_transition, transition_mismatch
 from superpi.builders import (
     CellOverlapError,
     build_pi_grassmannian,
@@ -82,12 +82,12 @@ class TestProjectiveSuperspace:
     def test_matches_rank_one_grassmannian(self):
         atlas = build_projective_superspace(1, 2)
         derived = build_super_grassmannian(1, 0, 2, 2)
-        assert atlases_equal(derived, atlas)
+        assert atlas_mismatch(derived, atlas) == ""
 
     def test_superline_from_cells(self):
-        assert atlases_equal(
+        assert atlas_mismatch(
             build_super_grassmannian(1, 0, 2, 1), build_projective_superspace(1, 1)
-        )
+        ) == ""
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
@@ -108,7 +108,7 @@ class TestPiProjective:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_derived_cells_match_closed_form(self, n):
-        assert atlases_equal(build_pi_grassmannian(1, n + 1), build_pi_projective_closed(n))
+        assert atlas_mismatch(build_pi_grassmannian(1, n + 1), build_pi_projective_closed(n)) == ""
 
     def test_cocycle_n3(self):
         assert check_cocycle(build_pi_projective_closed(3)).all_passed

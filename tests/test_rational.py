@@ -485,6 +485,83 @@ class TestNormalForm:
                 x * unit
 
 
+def monomial_fractions(seed, count):
+    """Normal (p/q) * x^e from the full constructor, with constants and units."""
+    rng = random.Random(seed)
+    coeffs = (-6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 9)
+    values = [const(c) for c in (1, -1, 2, -4, Fraction(3, 2), Fraction(-2, 9))]
+    while len(values) < count:
+        num, den = ({tuple(rng.randint(0, 2) for _ in V): rng.choice(coeffs)} for _ in "nd")
+        values.append(RatFun(poly(num), poly(den)))
+    return values
+
+
+def typed_parts(num, den):
+    """num and den key for key, each coefficient with its type."""
+    return [{e: (type(c), c) for e, c in p.terms.items()} for p in (num, den)]
+
+
+def normalized(num, den):
+    """typed_parts of the general path's normal form of num/den."""
+    return typed_parts(*_normalize_pair(num, den))
+
+
+class TestMonomialFractions:
+    def test_every_short_cut_matches_the_general_normal_form(self):
+        values = monomial_fractions(17, 60)
+        rng = random.Random(18)
+        pairs = [(a, b) for a in values[:12] for b in values] + [
+            tuple(rng.sample(values, 2)) for _ in range(300)
+        ]
+        for a, b in pairs:
+            assert typed_parts(a.num, a.den) == normalized(a.num, a.den)
+            product, quotient = a * b, a / b
+            assert typed_parts(product.num, product.den) == normalized(
+                a.num * b.num, a.den * b.den
+            )
+            assert typed_parts(quotient.num, quotient.den) == normalized(
+                a.num * b.den, a.den * b.num
+            )
+        for a in values:
+            inverse = a.inverse()
+            assert typed_parts(inverse.num, inverse.den) == normalized(a.den, a.num)
+            for name in V:
+                d = a.derivative(name)
+                dn, dd = a.num.derivative(name), a.den.derivative(name)
+                assert typed_parts(d.num, d.den) == normalized(
+                    dn * a.den - a.num * dd, a.den * a.den
+                )
+        for a in values:
+            for p in (a.num, -a.den, a.num.scale(Fraction(-2, 3)), Poly.zero(V)):
+                r = RatFun.from_poly(p)
+                assert typed_parts(r.num, r.den) == normalized(p, Poly.const(V, 1))
+        for r in [a * b for a, b in pairs] + [a.derivative("x") for a in values]:
+            assert all(type(c) is int for part in (r.num, r.den) for c in part.terms.values())
+
+    def test_no_normalisation_pass(self, monkeypatch):
+        values = monomial_fractions(19, 40)
+        x_plus_one = var("x") + const(1)
+
+        def refuse(num, den):
+            raise AssertionError("a monomial fraction was normalised")
+
+        monkeypatch.setattr(rational, "_normalize_pair", refuse)
+        for a, b in zip(values, values[1:]):
+            a * b, a / b, a.inverse(), a.derivative("y")
+        RatFun.var(V, "z"), RatFun.const(V, Fraction(-3, 4)), RatFun.one(V), RatFun.zero(V)
+        # Every other value still goes through the general normaliser.
+        with pytest.raises(AssertionError, match="was normalised"):
+            x_plus_one * var("y")
+
+    def test_mismatched_variable_sets_still_raise(self):
+        a = RatFun(poly({(1, 0, 0): 2}), poly({(0, 1, 0): 3}))
+        b = RatFun.var(("x", "y"), "y").inverse()
+        for left, right in ((a, b), (b, a)):
+            for op in (lambda u, v: u * v, lambda u, v: u / v):
+                with pytest.raises(ValueError, match="mismatched variable sets"):
+                    op(left, right)
+
+
 def difference_pairs(seed, count):
     """Pairs with a planted common factor that always includes some x_i - x_j."""
     rng = random.Random(seed)

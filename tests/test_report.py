@@ -79,6 +79,17 @@ class TestComparisonRule:
         assert (check.status, check.witness) == (FAIL, mismatch(a, b))
 
 
+class TestWitnessVerdict:
+    def test_empty_witness_passes_and_any_other_fails_with_it(self):
+        report = VerificationReport("s")
+        report.add_witness("same", "")
+        report.add_witness("differs", "difference (1)")
+        assert [(c.identifier, c.status, c.witness) for c in report.checks] == [
+            ("same", PASS, ""),
+            ("differs", FAIL, "difference (1)"),
+        ]
+
+
 class TestWitnessesOnlyOnFailure:
     def test_passing_runs_print_nothing(self, monkeypatch):
         def refuse(self):

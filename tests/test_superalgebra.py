@@ -124,6 +124,17 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="charts differ"):
             SuperFunction.one(U0) * SuperFunction.one(U1)
 
+    def test_equal_distinct_chart_accepted_and_unequal_refused(self):
+        f = sf("(z10) + (1)/(z20)*[th10]")
+        copy = Chart("U0", ("z10", "z20"), ("th10", "th20"))
+        assert copy is not U0
+        g = SuperFunction(copy, f.components)
+        assert (f * g).equals(f * f)
+        # Same name, other coordinates: unequal, so refused.
+        renamed = Chart("U0", ("z10", "z20"), ("th10", "th30"))
+        with pytest.raises(ValueError, match="charts differ"):
+            f * SuperFunction.one(renamed)
+
     def test_cancelled_terms_are_not_stored(self):
         t1 = SuperFunction.coordinate(U0, "th10")
         t2 = SuperFunction.coordinate(U0, "th20")
@@ -398,6 +409,17 @@ class TestSubstitute:
     def test_pullback_refuses_other_chart(self):
         with pytest.raises(ValueError, match="applied to a function on 'U0'"):
             Pullback(U1, self.transition_images())(SuperFunction.coordinate(U0, "z10"))
+
+    def test_pullback_accepts_an_equal_distinct_chart(self):
+        pull_back = Pullback(U1, self.transition_images())
+        copy = Chart("U1", ("z01", "z21"), ("th01", "th21"))
+        assert copy is not U1
+        image = pull_back(SuperFunction.coordinate(copy, "z21"))
+        assert image.equals(self.transition_images()["z21"])
+        # Same name, other coordinates: unequal, so refused.
+        renamed = Chart("U1", ("z01", "z21"), ("th01", "th31"))
+        with pytest.raises(ValueError, match="applied to a function on 'U1'"):
+            pull_back(SuperFunction.coordinate(renamed, "z21"))
 
 
 def pull_back_one_name_at_a_time(assignment, f):
