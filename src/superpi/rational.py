@@ -46,10 +46,12 @@ needs no normalisation pass at all.  Its normal form depends only on the
 reduced coefficient p/q with q > 0 and the signed exponent vector
 e = (num exponents) - (den exponents): it is p*x^max(e, 0) over
 q*x^max(-e, 0), since a one-term part never reaches the probe or the gcd.
-Products, quotients, inverses and derivatives of monomial fractions, and
-every constant, variable or one-term polynomial taken as a fraction, are
-built that way by _monomial, with int arithmetic and one gcd.  Every
-other value goes through _normalize_pair, the one general normaliser.
+Products, quotients, inverses, derivatives and scalar multiples of
+monomial fractions, and every constant, variable or one-term polynomial
+taken as a fraction, are built that way by _monomial, with int arithmetic
+and one gcd.  So is the zero that a product with a zero factor or a sum
+that cancels returns.  Every other value goes through _normalize_pair,
+the one general normaliser.
 
 A sum of any number of terms is normalised once, by RatFun.sum, the one
 place where rational functions are summed: numerators over equal
@@ -75,7 +77,8 @@ their slots through the slot descriptors' own setters.
 
 Equality of rational functions is decided by cross-multiplication,
 a.num*b.den == b.num*a.den, which is exact and never depends on which
-representative the normalisation happened to keep.
+representative the normalisation happened to keep.  Identical parts are
+equal without it.
 
 All values are immutable after construction and all operations are pure,
 so everything here can be shared freely across threads.  The gcd cache is
@@ -447,8 +450,10 @@ class RatFun:
         return None
 
     def equals(self, other: RatFun) -> bool:
-        """Exact equality by cross-multiplication."""
+        """Exact equality by cross-multiplication, skipped for identical parts."""
         self.num._require_same_variables(other.num)
+        if self.num == other.num and self.den == other.den:
+            return True
         return self.num * other.den == other.num * self.den
 
     def homogeneous_degree(self) -> Optional[int]:
@@ -473,7 +478,8 @@ class RatFun:
         (num * d/g + n * D/g) / (D * d/g).  A constant g cross-multiplies,
         a monomial g divides by shifting exponents, and any other g takes
         both quotients from the gcd cache.  A sum with at most one nonzero
-        term returns that term, or the first term, as it is.  A sum meets
+        term returns that term, or the first term, as it is, and a sum that
+        cancels returns the zero normal form.  A sum meets
         few distinct denominators, so a scan finds each term's group.
         """
         first = last = terms[0]
@@ -499,9 +505,7 @@ class RatFun:
         if kept < 2:
             return last
         groups = [(n, d) for n, d in zip(nums, dens) if n.terms]
-        if not groups:  # every group cancelled
-            return RatFun(nums[0], dens[0])
-        num, den = groups[0]
+        num, den = groups[0] if groups else (nums[0], dens[0])
         for n, d in groups[1:]:
             g = poly_gcd(den, d)
             if len(g.terms) > 1:
@@ -514,6 +518,8 @@ class RatFun:
                     den_cof, d_cof = _shift_poly(den, shift), _shift_poly(d, shift)
             num = num * d_cof + n * den_cof
             den = den * d_cof
+        if not num.terms:  # the terms cancelled
+            return _monomial(variables, 0, 1, ())
         return RatFun(num, den)
 
     def __add__(self, other: RatFun) -> RatFun:
@@ -557,6 +563,9 @@ class RatFun:
             (pa, qa, ea, fa), (pb, qb, eb, fb) = a, b
             exps = map(sub, map(add, ea, eb), map(add, fa, fb))
             return _monomial(self.num.variables, pa * pb, qa * qb, tuple(exps))
+        if self.num.is_zero or other.num.is_zero:
+            self.num._require_same_variables(other.num)
+            return _monomial(self.num.variables, 0, 1, ())
         # A factor of 1 or -1 leaves the other factor's normal form intact.
         for unit, value in ((self, other), (other, self)):
             sign = unit._unit_sign()
@@ -586,6 +595,12 @@ class RatFun:
         return RatFun(num_a * den_b, den_a * num_b)
 
     def scale(self, value) -> RatFun:
+        a = self._as_monomial()
+        if a is not None:
+            value = exact(value)
+            p, q, num_exps, den_exps = a
+            exps = tuple(map(sub, num_exps, den_exps))
+            return _monomial(self.num.variables, p * value.numerator, q * value.denominator, exps)
         return RatFun(self.num.scale(value), self.den)
 
     def inverse(self) -> RatFun:

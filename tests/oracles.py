@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Mapping
 
-from superpi.atlas import Atlas, TransitionMap
+from superpi.atlas import Atlas, TransitionMap, compose, identity_transition, transition_mismatch
 from superpi.cohomology import CechCochain1, TensorSection, pullback_tensor
+from superpi.report import VerificationReport
 from superpi.superalgebra import SuperFunction, substitute
 from superpi.supermatrix import SuperMatrix, grid_mul
 
@@ -19,6 +20,28 @@ def coboundary_of(atlas: Atlas, zero_cochain: Mapping[str, TensorSection]) -> Ce
         pulled = pullback_tensor(zero_cochain[i_name], t)
         sections[(i_name, j_name)] = pulled - zero_cochain[j_name]
     return CechCochain1(atlas, sections)
+
+
+def exhaustive_cocycle(atlas: Atlas) -> VerificationReport:
+    """check_cocycle with every check composed, each through a fresh compose.
+
+    Every ordered round trip, then for each triple all six orderings (at
+    most four charts) or the increasing and decreasing one, in the order
+    and with the witnesses check_cocycle reports.
+    """
+    names = atlas.chart_names()
+    report = VerificationReport("cocycle")
+    for i, j in atlas.pairs():
+        threaded = compose(atlas.transition(j, i), atlas.transition(i, j))
+        identity = identity_transition(atlas.chart(i))
+        report.add_witness(f"roundtrip/{i}->{j}->{i}", transition_mismatch(threaded, identity))
+    for combo in combinations(names, 3):
+        orderings = permutations(combo) if len(names) <= 4 else [combo, combo[::-1]]
+        for i, j, k in orderings:
+            threaded = compose(atlas.transition(j, k), atlas.transition(i, j))
+            witness = transition_mismatch(atlas.transition(i, k), threaded)
+            report.add_witness(f"triple/{i},{j},{k}", witness)
+    return report
 
 
 def map_entries(m: SuperMatrix, fn: Callable[[SuperFunction], SuperFunction]) -> SuperMatrix:

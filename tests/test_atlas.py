@@ -22,15 +22,16 @@ from superpi.atlas import (
 from superpi.builders import (
     build_pi_projective_closed,
     build_projective_superspace,
+    build_super_grassmannian,
     derive_transition_from_cells,
     pi_grassmannian_cells,
 )
-from superpi.report import FAIL
+from superpi.report import FAIL, PASS
 from superpi.superalgebra import Chart, Pullback, SuperFunction, parse_superfunction, substitute
 from superpi.supermatrix import SuperMatrix, berezinian
 
 from conftest import random_transition
-from oracles import jacobian_chain_product, map_entries, pull_back
+from oracles import exhaustive_cocycle, jacobian_chain_product, map_entries, pull_back
 
 
 class TestTransitionMap:
@@ -144,8 +145,69 @@ class TestCheckCocycle:
         }
 
 
+def verdicts(report):
+    return [(c.identifier, c.status, c.witness) for c in report.checks]
+
+
+def flip_odd_image(atlas, pair):
+    """atlas with the first odd image of the transition at pair negated."""
+    transitions = dict(atlas.transitions)
+    t = transitions[pair]
+    name = t.target.odd_coords[0]
+    transitions[pair] = TransitionMap(t.source, t.target, dict(t.images, **{name: -t.images[name]}))
+    return Atlas(atlas.charts, transitions)
+
+
+def unequal_dimension_atlas():
+    """A = (a|) and B = (b, c|) with b, c -> a and a -> b: only A->B->A closes."""
+    a, b = Chart("A", ("a",), ()), Chart("B", ("b", "c"), ())
+    a_coord = SuperFunction.coordinate(a, "a")
+    to_b = TransitionMap(a, b, {"b": a_coord, "c": a_coord})
+    to_a = TransitionMap(b, a, {"a": SuperFunction.coordinate(b, "b")})
+    return Atlas([a, b], {("A", "B"): to_b, ("B", "A"): to_a})
+
+
+class TestCocyclePruning:
+    """check_cocycle reports what composing every check reports."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            partial(build_pi_projective_closed, 2),
+            partial(build_pi_projective_closed, 3),
+            partial(build_super_grassmannian, 1, 1, 2, 2),
+            partial(build_projective_superspace, 2, 3),
+        ],
+    )
+    def test_passing_atlases(self, build):
+        atlas = build()
+        report = check_cocycle(atlas)
+        assert report.all_passed
+        assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
+
+    @pytest.mark.parametrize("pair", list(permutations(("U0", "U1", "U2"), 2)))
+    def test_every_single_transition_fault(self, pair):
+        atlas = flip_odd_image(build_pi_projective_closed(2), pair)
+        report = check_cocycle(atlas)
+        assert not report.all_passed
+        assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
+
+    def test_unequal_dimensions_compose_every_check(self):
+        atlas = unequal_dimension_atlas()
+        report = check_cocycle(atlas)
+        assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
+        assert verdicts(report) == [
+            ("roundtrip/A->B->A", PASS, ""),
+            ("roundtrip/B->A->B", FAIL, "coordinate c: difference (b - c)"),
+        ]
+
+
 class TestCocycleSharing:
-    """check_cocycle builds one Pullback per first leg and composes through it."""
+    """check_cocycle builds one Pullback per first leg and composes through it.
+
+    A passing atlas composes only its primary checks: one round trip per
+    unordered pair and one ordering per triple.
+    """
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -168,7 +230,7 @@ class TestCocycleSharing:
             ids += [f"triple/{i},{j},{k}" for i, j, k in orderings]
         return ids
 
-    @pytest.mark.parametrize("n, pullbacks, compositions", [(2, 6, 12), (4, 20, 40)])
+    @pytest.mark.parametrize("n, pullbacks, compositions", [(2, 3, 4), (4, 10, 20)])
     def test_one_pullback_per_first_leg(self, monkeypatch, n, pullbacks, compositions):
         atlas = build_pi_projective_closed(n)
         counts = self.count_calls(monkeypatch)

@@ -207,6 +207,21 @@ class TestEqualityProperties:
         scaled = RatFun(a.num * p, a.den * p)
         assert a.equals(scaled)
 
+    @given(small_ratfuns(), small_polys())
+    def test_unnormalised_representatives_compare_by_value(self, a, p):
+        if p.is_zero:
+            p = Poly.const(V, 1)
+        blown = RatFun._raw(a.num * p, a.den * p)
+        assert a.equals(blown) and blown.equals(a)
+        shifted = RatFun._raw(a.num * p + a.den * p, a.den * p)
+        assert not a.equals(shifted) and not shifted.equals(a)
+
+    def test_identical_parts_need_no_product(self, monkeypatch):
+        a = (var("x") + const(1)) / (var("y") - const(2))
+        twin = RatFun._raw(Poly(V, dict(a.num.terms)), Poly(V, dict(a.den.terms)))
+        monkeypatch.setattr(Poly, "__mul__", lambda *args: pytest.fail("cross-multiplied"))
+        assert a.equals(twin) and a == twin
+
     @given(small_ratfuns(), small_ratfuns(), small_ratfuns())
     def test_field_identities(self, a, b, c):
         assert ((a + b) + c).equals(a + (b + c))
@@ -535,20 +550,41 @@ class TestMonomialFractions:
             for p in (a.num, -a.den, a.num.scale(Fraction(-2, 3)), Poly.zero(V)):
                 r = RatFun.from_poly(p)
                 assert typed_parts(r.num, r.den) == normalized(p, Poly.const(V, 1))
+        zero = RatFun.zero(V)
+        for a in values + [var("x") + const(1)]:
+            for c in (0, 1, -1, 3, -4, Fraction(-2, 3), Fraction(9, 4)):
+                scaled = a.scale(c)
+                assert typed_parts(scaled.num, scaled.den) == normalized(a.num.scale(c), a.den)
+            for product in (a * zero, zero * a):
+                assert typed_parts(product.num, product.den) == normalized(
+                    a.num * zero.num, a.den * zero.den
+                )
+            for cancelled in (
+                RatFun.sum((a, const(2), -a, const(-2))),
+                RatFun.sum((a, var("z").inverse(), -(a + var("z").inverse()))),
+            ):
+                assert typed_parts(cancelled.num, cancelled.den) == normalized(Poly.zero(V), a.den)
         for r in [a * b for a, b in pairs] + [a.derivative("x") for a in values]:
             assert all(type(c) is int for part in (r.num, r.den) for c in part.terms.values())
 
     def test_no_normalisation_pass(self, monkeypatch):
         values = monomial_fractions(19, 40)
         x_plus_one = var("x") + const(1)
+        x, y = var("x"), var("y")
+        sum_over_xy = (x + y) / (x * y)
 
         def refuse(num, den):
             raise AssertionError("a monomial fraction was normalised")
 
         monkeypatch.setattr(rational, "_normalize_pair", refuse)
+        zero = RatFun.zero(V)
         for a, b in zip(values, values[1:]):
             a * b, a / b, a.inverse(), a.derivative("y")
+            a.scale(Fraction(-2, 3)), a.scale(0), a * zero, zero * a
         RatFun.var(V, "z"), RatFun.const(V, Fraction(-3, 4)), RatFun.one(V), RatFun.zero(V)
+        # A zero product or a sum that cancels is the zero normal form, whatever the terms.
+        x_plus_one * zero, zero * x_plus_one, RatFun.sum((x_plus_one, y, -x_plus_one, -y))
+        assert RatFun.sum((x.inverse(), y.inverse(), -sum_over_xy)).is_zero
         # Every other value still goes through the general normaliser.
         with pytest.raises(AssertionError, match="was normalised"):
             x_plus_one * var("y")
