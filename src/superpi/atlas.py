@@ -22,6 +22,7 @@ one; the tests check the correct contraction with the oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from .report import PASS, UNDETERMINED, VerificationReport, mismatch
@@ -156,10 +157,11 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
     lists the checks in that order.
 
     Only the primary checks are composed at first: the round trip
-    i->j->i for the first ordering of each unordered pair, and the first
-    ordering (i, j, k) of each triple.  When they all pass and every chart
-    has the same dimension (n|m), every other check passes by the lemma
-    below, and its witness is "", which is what composing it would print.
+    i->j->i for the first ordering of each unordered pair, and the
+    increasing ordering (0, j, k) of each triple through the first chart
+    U0.  When they all pass and every chart has the same dimension (n|m),
+    every other check passes by the lemma below, and its witness is "",
+    which is what composing it would print.
     Otherwise the other checks are composed too, so a failing atlas gets
     the same report and witnesses as when every check is composed.
 
@@ -186,6 +188,11 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
       3. Equal dimensions are needed.  For charts A = (a|) and B = (b, c|)
          with T_AB: b, c -> a and T_BA: a -> b, A->B->A passes while
          B->A->B fails with "coordinate c: difference (b - c)".
+      4. The triples through U0 give every triple.  The triple (0, i, j)
+         says Phi_0i Phi_ij = Phi_0j, so Phi_ij = Phi_0i^-1 Phi_0j for
+         i < j, and for i > j by inverting Phi_ji; it holds with i or j
+         equal to 0 too.  Hence Phi_ij Phi_jk = Phi_0i^-1 Phi_0k = Phi_ik
+         for every triple, and part 2 gives its other orderings.
     """
     names = atlas.chart_names()
     position = {name: index for index, name in enumerate(names)}
@@ -201,7 +208,7 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
             else [combo, tuple(reversed(combo))]
         )
         checks += [
-            (f"triple/{i},{j},{k}", (i, j), (j, k), (i, k), (i, j, k) == combo)
+            (f"triple/{i},{j},{k}", (i, j), (j, k), (i, k), (i, j, k) == combo and i == names[0])
             for i, j, k in orderings
         ]
     witnesses = _compose_checks(atlas, [check for check in checks if check[4]])
@@ -263,26 +270,64 @@ def super_jacobian(t: TransitionMap) -> SuperMatrix:
 def berezinian_class(value: SuperFunction) -> tuple[str, str]:
     """Classify a Berezinian as identically 1, a nonzero constant, or neither."""
     constant = value.is_constant()
+    if constant is None or constant == 0:
+        return "nonconstant", f"Ber = {value.to_str()}"
+    return _constant_class(constant)
+
+
+def _constant_class(constant: int | Fraction) -> tuple[str, str]:
+    """The class of a Berezinian equal to the nonzero constant given."""
     if constant == 1:
         return "one", "Ber = 1"
-    if constant is not None and constant != 0:
-        return "constant", f"Ber = {constant}"
-    return "nonconstant", f"Ber = {value.to_str()}"
+    return "constant", f"Ber = {constant}"
 
 
-def check_berezinian_trivial(atlas: Atlas) -> VerificationReport:
+def check_berezinian_trivial(atlas: Atlas, cocycle: VerificationReport) -> VerificationReport:
     """Berezinians of all pair Jacobians, with a triviality verdict.
 
+    cocycle is the report check_cocycle gave for atlas.  Only the star
+    Berezinians c_j = Ber(T_0j) out of the first chart U0 are computed
+    first.  When every cocycle check passed, the round trips the report
+    holds are exactly those of the ordered pairs of atlas (a cheap guard
+    against the report of another atlas) and every c_j is a nonzero
+    constant, the lemma below gives Ber(T_j0) = 1/c_j and Ber(T_jk) =
+    c_k/c_j, reported with the class and witness that computing them
+    gives.  Otherwise every other pair is computed too.
+
+    Lemma.  Once every cocycle check passes, all orderings hold: by the
+    lemma of check_cocycle, or directly when dimensions differ, because
+    both round trips make every Phi invertible.  So T_jk = T_0k o T_j0.
+    The chain rule of the module docstring is a product of supermatrices
+    and Ber is multiplicative, so Ber(T_jk) = Ber(T_j0) * T_j0^*(Ber T_0k).
+    The round trip j->0->j gives Ber(T_j0) * T_j0^*(c_j) = Ber(id) = 1,
+    and a constant pulls back to itself.
+
     Verdict levels: "trivial (exact)" when every Berezinian is 1,
-    "trivial (constant cocycle)" when all are nonzero constants (a constant
-    rescaling of frames absorbs them on these coverings), otherwise
-    "undetermined".
+    "trivial (constant cocycle)" when all are nonzero constants, otherwise
+    "undetermined".  Constant Berezinians are Ber_jk = c_k/c_j, the
+    coboundary of the 0-cochain (c_j) with c_0 = 1, so rescaling the
+    frames on U_j by c_j makes every Berezinian 1.
     """
+    names = atlas.chart_names()
+    first = names[0]
+    star = {j: berezinian(super_jacobian(atlas.transition(first, j))) for j in names[1:]}
+    scale = {j: ber.is_constant() for j, ber in star.items()}
+    scale[first] = 1
+    roundtrips = {c.identifier for c in cocycle.checks if c.identifier.startswith("roundtrip/")}
+    chained = (
+        cocycle.all_passed
+        and roundtrips == {f"roundtrip/{i}->{j}->{i}" for i, j in atlas.pairs()}
+        and all(c is not None and c != 0 for c in scale.values())
+    )
     report = VerificationReport("berezinian")
     kinds = []
     for i, j in atlas.pairs():
-        ber = berezinian(super_jacobian(atlas.transition(i, j)))
-        kind, witness = berezinian_class(ber)
+        if i == first:
+            kind, witness = berezinian_class(star[j])
+        elif chained:
+            kind, witness = _constant_class(Fraction(scale[j], scale[i]))
+        else:
+            kind, witness = berezinian_class(berezinian(super_jacobian(atlas.transition(i, j))))
         kinds.append(kind)
         status = PASS if kind in ("one", "constant") else UNDETERMINED
         report.add(f"pair/{i}->{j}", status, witness)

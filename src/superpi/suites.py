@@ -57,9 +57,10 @@ def suite_pi_projective(n: int) -> VerificationReport:
     """Gluing, Berezinian triviality and obstruction checks for one space."""
     report = VerificationReport(f"pi-projective n={n}")
     atlas = build_pi_projective_closed(n)
-    report.merge(check_cocycle(atlas), prefix="cocycle/")
+    cocycle = check_cocycle(atlas)
+    report.merge(cocycle, prefix="cocycle/")
 
-    ber = check_berezinian_trivial(atlas)
+    ber = check_berezinian_trivial(atlas, cocycle)
     report.merge(ber, prefix="berezinian/")
     verdict = ber.find("verdict")
     report.add_bool(
@@ -102,7 +103,8 @@ def suite_projective_superspace(n: int, m: int) -> VerificationReport:
     """Gluing and classification for the split model; Berezinian reported."""
     report = VerificationReport(f"projective-superspace n={n} m={m}")
     atlas = build_projective_superspace(n, m)
-    report.merge(check_cocycle(atlas), prefix="cocycle/")
+    cocycle = check_cocycle(atlas)
+    report.merge(cocycle, prefix="cocycle/")
     summary = atlas_classification(atlas)
     report.add_bool(
         "classification/projected",
@@ -114,7 +116,7 @@ def suite_projective_superspace(n: int, m: int) -> VerificationReport:
         summary.split_evidence,
         "odd transitions are not purely linear",
     )
-    verdict = check_berezinian_trivial(atlas).find("verdict")
+    verdict = check_berezinian_trivial(atlas, cocycle).find("verdict")
     report.add("berezinian/verdict", PASS, verdict.witness)
     extracted = extract_obstruction(atlas)
     report.add_bool(

@@ -5,11 +5,19 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Callable, Mapping
 
-from superpi.atlas import Atlas, TransitionMap, compose, identity_transition, transition_mismatch
+from superpi.atlas import (
+    Atlas,
+    TransitionMap,
+    berezinian_class,
+    compose,
+    identity_transition,
+    super_jacobian,
+    transition_mismatch,
+)
 from superpi.cohomology import CechCochain1, TensorSection, pullback_tensor
-from superpi.report import VerificationReport
+from superpi.report import PASS, UNDETERMINED, VerificationReport
 from superpi.superalgebra import SuperFunction, substitute
-from superpi.supermatrix import SuperMatrix, grid_mul
+from superpi.supermatrix import SuperMatrix, berezinian, grid_mul
 
 
 def coboundary_of(atlas: Atlas, zero_cochain: Mapping[str, TensorSection]) -> CechCochain1:
@@ -41,6 +49,27 @@ def exhaustive_cocycle(atlas: Atlas) -> VerificationReport:
             threaded = compose(atlas.transition(j, k), atlas.transition(i, j))
             witness = transition_mismatch(atlas.transition(i, k), threaded)
             report.add_witness(f"triple/{i},{j},{k}", witness)
+    return report
+
+
+def exhaustive_berezinian(atlas: Atlas) -> VerificationReport:
+    """check_berezinian_trivial with the Berezinian of every ordered pair computed.
+
+    One pair/i->j check per ordered pair, then the verdict, in the order
+    and with the witnesses check_berezinian_trivial reports.
+    """
+    report = VerificationReport("berezinian")
+    kinds = []
+    for i, j in atlas.pairs():
+        kind, witness = berezinian_class(berezinian(super_jacobian(atlas.transition(i, j))))
+        kinds.append(kind)
+        report.add(f"pair/{i}->{j}", PASS if kind in ("one", "constant") else UNDETERMINED, witness)
+    if all(k == "one" for k in kinds):
+        report.add("verdict", PASS, "trivial (exact)")
+    elif all(k in ("one", "constant") for k in kinds):
+        report.add("verdict", PASS, "trivial (constant cocycle)")
+    else:
+        report.add("verdict", UNDETERMINED, "undetermined")
     return report
 
 

@@ -159,25 +159,29 @@ def test_criterion_3_jacobian_blocks():
     record("jacobian-blocks", ok)
 
 
+def berezinian_report(atlas):
+    return check_berezinian_trivial(atlas, check_cocycle(atlas))
+
+
 def test_criterion_4_berezinian_triviality():
     ok = True
     for n in (1, 2, 3):
-        report = check_berezinian_trivial(build_pi_projective_closed(n))
+        report = berezinian_report(build_pi_projective_closed(n))
         ok = ok and report.find("verdict").witness == "trivial (exact)"
         ok = ok and all(
             c.witness == "Ber = 1" for c in report.checks if c.identifier.startswith("pair/")
         )
-    control = check_berezinian_trivial(build_projective_superspace(1, 1))
+    control = berezinian_report(build_projective_superspace(1, 1))
     ok = ok and control.find("verdict").status == UNDETERMINED
     ok = ok and control.find("verdict").witness == "undetermined"
     for n, m in ((1, 2), (2, 3)):
-        report = check_berezinian_trivial(build_projective_superspace(n, m))
+        report = berezinian_report(build_projective_superspace(n, m))
         ok = ok and report.find("verdict").witness == "trivial (constant cocycle)"
     record("berezinian-triviality", ok)
 
 
 def test_criterion_4_optional_n4():
-    report = check_berezinian_trivial(build_pi_projective_closed(4))
+    report = berezinian_report(build_pi_projective_closed(4))
     record("berezinian-triviality-n4", report.find("verdict").witness == "trivial (exact)")
 
 

@@ -31,7 +31,13 @@ from superpi.superalgebra import Chart, Pullback, SuperFunction, parse_superfunc
 from superpi.supermatrix import SuperMatrix, berezinian
 
 from conftest import random_transition
-from oracles import exhaustive_cocycle, jacobian_chain_product, map_entries, pull_back
+from oracles import (
+    exhaustive_berezinian,
+    exhaustive_cocycle,
+    jacobian_chain_product,
+    map_entries,
+    pull_back,
+)
 
 
 class TestTransitionMap:
@@ -158,6 +164,21 @@ def flip_odd_image(atlas, pair):
     return Atlas(atlas.charts, transitions)
 
 
+def regauge_pair(atlas, pair):
+    """atlas with the sign change s of the first odd coordinate of j put
+    after T_ij and before T_ji: both round trips still close, and the
+    triples through the pair fail."""
+    i, j = pair
+    chart = atlas.chart(j)
+    name = chart.odd_coords[0]
+    images = identity_transition(chart).images
+    sign = TransitionMap(chart, chart, dict(images, **{name: -images[name]}))
+    transitions = dict(atlas.transitions)
+    transitions[(i, j)] = compose(sign, atlas.transition(i, j))
+    transitions[(j, i)] = compose(atlas.transition(j, i), sign)
+    return Atlas(atlas.charts, transitions)
+
+
 def unequal_dimension_atlas():
     """A = (a|) and B = (b, c|) with b, c -> a and a -> b: only A->B->A closes."""
     a, b = Chart("A", ("a",), ()), Chart("B", ("b", "c"), ())
@@ -192,6 +213,25 @@ class TestCocyclePruning:
         assert not report.all_passed
         assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
 
+    @pytest.mark.parametrize("pair", list(permutations(("U0", "U1", "U2", "U3"), 2)))
+    def test_every_single_transition_fault_on_four_charts(self, pair):
+        # A fault among U1, U2, U3 lies on no primary triple; the fallback composes its triples.
+        atlas = flip_odd_image(build_pi_projective_closed(3), pair)
+        report = check_cocycle(atlas)
+        assert not report.all_passed
+        assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
+
+    @pytest.mark.parametrize("pair", list(combinations(("U0", "U1", "U2", "U3"), 2)))
+    def test_faults_that_only_triples_see(self, pair):
+        # Every round trip passes, so only a composed triple through U0 can fail.
+        atlas = regauge_pair(build_pi_projective_closed(3), pair)
+        report = check_cocycle(atlas)
+        assert all(
+            c.status == PASS for c in report.checks if c.identifier.startswith("roundtrip/")
+        )
+        assert not report.all_passed
+        assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
+
     def test_unequal_dimensions_compose_every_check(self):
         atlas = unequal_dimension_atlas()
         report = check_cocycle(atlas)
@@ -206,7 +246,7 @@ class TestCocycleSharing:
     """check_cocycle builds one Pullback per first leg and composes through it.
 
     A passing atlas composes only its primary checks: one round trip per
-    unordered pair and one ordering per triple.
+    unordered pair and the increasing ordering of each triple through U0.
     """
 
     @staticmethod
@@ -230,7 +270,7 @@ class TestCocycleSharing:
             ids += [f"triple/{i},{j},{k}" for i, j, k in orderings]
         return ids
 
-    @pytest.mark.parametrize("n, pullbacks, compositions", [(2, 3, 4), (4, 10, 20)])
+    @pytest.mark.parametrize("n, pullbacks, compositions", [(2, 3, 4), (4, 10, 16)])
     def test_one_pullback_per_first_leg(self, monkeypatch, n, pullbacks, compositions):
         atlas = build_pi_projective_closed(n)
         counts = self.count_calls(monkeypatch)
@@ -360,16 +400,20 @@ class TestSuperJacobian:
             assert direct.equals(chained)
 
 
+def berezinian_report(atlas):
+    return check_berezinian_trivial(atlas, check_cocycle(atlas))
+
+
 class TestBerezinianTriviality:
     def test_pi_spaces_exactly_one(self):
         for n in (1, 2):
-            report = check_berezinian_trivial(build_pi_projective_closed(n))
+            report = berezinian_report(build_pi_projective_closed(n))
             assert report.find("verdict").witness == "trivial (exact)"
             for i, j in (("U0", "U1"), ("U1", "U0")):
                 assert report.find(f"pair/{i}->{j}").witness == "Ber = 1"
 
     def test_superline_is_nonconstant(self):
-        report = check_berezinian_trivial(build_projective_superspace(1, 1))
+        report = berezinian_report(build_projective_superspace(1, 1))
         assert report.find("verdict").witness == "undetermined"
         atlas = build_projective_superspace(1, 1)
         ber = berezinian(super_jacobian(atlas.transition("U0", "U1")))
@@ -378,9 +422,63 @@ class TestBerezinianTriviality:
 
     def test_constant_cocycle_families(self):
         for n, m in ((1, 2), (2, 3)):
-            report = check_berezinian_trivial(build_projective_superspace(n, m))
+            report = berezinian_report(build_projective_superspace(n, m))
             assert report.find("verdict").witness == "trivial (constant cocycle)"
             assert report.find("pair/U0->U1").witness == "Ber = -1"
+
+
+class TestBerezinianChainRule:
+    """check_berezinian_trivial reports what computing every Berezinian reports."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(partial(build_pi_projective_closed, n) for n in (1, 2, 3, 4)),
+            *(
+                partial(build_projective_superspace, n, m)
+                for n, m in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 4))
+            ),
+            partial(build_super_grassmannian, 1, 1, 2, 2),
+        ],
+    )
+    def test_matches_every_pair_computed(self, build):
+        atlas = build()
+        assert verdicts(berezinian_report(atlas)) == verdicts(exhaustive_berezinian(atlas))
+
+    def test_failing_cocycle_computes_every_pair(self):
+        atlas = flip_odd_image(build_pi_projective_closed(2), ("U1", "U2"))
+        cocycle = check_cocycle(atlas)
+        assert not cocycle.all_passed
+        report = check_berezinian_trivial(atlas, cocycle)
+        assert verdicts(report) == verdicts(exhaustive_berezinian(atlas))
+        assert report.find("pair/U1->U2").witness == "Ber = -1"
+
+    def test_foreign_report_computes_every_pair(self):
+        atlas = flip_odd_image(build_pi_projective_closed(2), ("U1", "U2"))
+        foreign = check_cocycle(build_pi_projective_closed(3))
+        assert foreign.all_passed
+        report = check_berezinian_trivial(atlas, foreign)
+        assert verdicts(report) == verdicts(exhaustive_berezinian(atlas))
+
+    @pytest.mark.parametrize(
+        "build, computed",
+        [
+            (partial(build_pi_projective_closed, 4), 4),
+            (partial(build_projective_superspace, 1, 1), 2),
+        ],
+    )
+    def test_berezinians_computed(self, monkeypatch, build, computed):
+        atlas = build()
+        cocycle = check_cocycle(atlas)
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return berezinian(matrix)
+
+        monkeypatch.setattr(atlas_module, "berezinian", counted)
+        check_berezinian_trivial(atlas, cocycle)
+        assert len(calls) == computed
 
 
 class TestClassification:
