@@ -25,9 +25,9 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .atlas import Atlas, TransitionMap
-from .rational import exact
+from .rational import exact, gauss_jordan
 from .superalgebra import Chart, SuperFunction
-from .supermatrix import SuperMatrix, grid_mul, smat_inverse
+from .supermatrix import EVEN_FUNCTIONS, SuperMatrix, grid_mul
 
 
 class CellOverlapError(ValueError):
@@ -158,21 +158,22 @@ def make_pi_cell(
 def transformed_cell(zi: BigCell, zj: BigCell) -> SuperMatrix:
     """B_IJ^-1 Z_I: the cell of Z_I rewritten in Z_J's normal form.
 
-    Raises CellOverlapError when the submatrix B_IJ made of Z_I's columns at
-    Z_J's index set is not invertible.
+    Z_I's columns at Z_J's index set (even first, then odd) form B_IJ.
+    Z_I is row-reduced with them moved to the front, which turns B_IJ into
+    the identity and Z_I into B_IJ^-1 Z_I; CellOverlapError when they give
+    fewer than d0+d1 pivots, that is when B_IJ is not invertible.
     """
     if zi.shape != zj.shape:
         raise ValueError("cells of different Grassmannians")
-    d0, d1, n, _ = zi.shape
-    rows = len(zi.matrix.entries)
-    cols = [c for c in zj.index_even] + [n + c for c in zj.index_odd]
-    grid = [[zi.matrix.entries[r][c] for c in cols] for r in range(rows)]
-    b = SuperMatrix(zi.chart, (d0, d1), (d0, d1), grid)
-    try:
-        b_inv = smat_inverse(b)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CellOverlapError(f"cells do not overlap: {exc}") from exc
-    return b_inv * zi.matrix
+    d0, d1, n, m = zi.shape
+    index = [*zj.index_even, *(n + c for c in zj.index_odd)]
+    order = index + [c for c in range(n + m) if c not in index]
+    reduced = [[row[c] for c in order] for row in zi.matrix.entries]
+    if len(gauss_jordan(reduced, d0 + d1, EVEN_FUNCTIONS)) < d0 + d1:
+        raise CellOverlapError(f"cells do not overlap: no pivot in {zi.chart.name} columns {index}")
+    back = sorted(range(n + m), key=order.__getitem__)
+    grid = [[row[k] for k in back] for row in reduced]
+    return SuperMatrix(zi.chart, (d0, d1), (n, m), grid)
 
 
 def _read_off(zi: BigCell, zj: BigCell) -> tuple[TransitionMap, str]:
@@ -180,7 +181,7 @@ def _read_off(zi: BigCell, zj: BigCell) -> tuple[TransitionMap, str]:
     "" when every name that Z_J's template repeats reads the same.
 
     The identity columns of the transformed cell are verified (a broken
-    inverse raises ValueError), and each coordinate takes the value at its
+    reduction raises ValueError), and each coordinate takes the value at its
     first template position.  On a Pi-template the agreement is exactly
     Pi-symmetry: the unit columns are the paired columns I and N+I, and on
     the free columns the two positions of a name are the two sides of

@@ -207,9 +207,10 @@ class SuperFunction:
     def max_degree(self) -> int:
         return max((len(m) for m in self.components), default=0)
 
-    def is_constant(self) -> Optional[Fraction]:
+    def is_constant(self) -> Optional[int | Fraction]:
+        """The exact value (int when integral) if this is a constant, else None."""
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if set(self.components) == {()}:
             return self.body().is_constant()
         return None

@@ -5,22 +5,26 @@ SuperFunctions in the block layout [[A, B], [C, D]]: the first p rows and
 first r columns are the even ones.  A and D must hold even entries, B and C
 odd entries (zero passes any parity slot).
 
-Inversion of a square matrix uses the Schur-complement block formula with
-exact inversion of the even blocks; the Berezinian is
+Every division is one row reduction by rational.gauss_jordan over the
+even superfunctions (EVEN_FUNCTIONS).  Row operations are left
+multiplications and even pivot inverses are central; an odd entry has no
+body, so it never pivots, and the first p pivots come from the even rows.
+smat_inverse reduces M next to the identity; the Berezinian is
 
     Ber(M) = det(A) * det(D - C A^-1 B)^-1
 
-computed with exact determinants of even matrices.  There is one
-determinant, and it is division-free: a row expansion memoised on the set
-of columns already used, so it needs no invertible pivot and stays exact
-on every square even matrix, nilpotent or zero determinant body included.
+with the Schur complement read off M reduced on its first p columns.
+There is one determinant, and it is division-free: a row expansion
+memoised on the set of columns already used, so it needs no invertible
+pivot and stays exact on every square even matrix, nilpotent or zero
+determinant body included.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .rational import Field, nonzero, solve_square
+from .rational import Field, gauss_jordan, nonzero, solve_square
 from .superalgebra import Chart, SuperFunction
 
 Grid = tuple[tuple[SuperFunction, ...], ...]
@@ -158,20 +162,6 @@ def even_det(rows: Sequence[Sequence[SuperFunction]]) -> SuperFunction:
     return minors.get((1 << n) - 1, SuperFunction.zero(chart))
 
 
-def even_matrix_inverse(
-    rows: Sequence[Sequence[SuperFunction]],
-) -> list[list[SuperFunction]]:
-    """Gauss-Jordan inverse of a square grid of even superfunctions."""
-    n = len(rows)
-    identity = []
-    if n and rows[0]:
-        chart = rows[0][0].chart
-        one, zero = SuperFunction.one(chart), SuperFunction.zero(chart)
-        identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    singular = "even matrix is not invertible (no invertible pivot)"
-    return solve_square(rows, identity, EVEN_FUNCTIONS, "even_matrix_inverse", singular)
-
-
 def grid_mul(
     x: Sequence[Sequence[SuperFunction]],
     y: Sequence[Sequence[SuperFunction]],
@@ -192,58 +182,33 @@ def grid_mul(
     ]
 
 
-def grid_sub(
-    x: Sequence[Sequence[SuperFunction]], y: Sequence[Sequence[SuperFunction]]
-) -> list[list[SuperFunction]]:
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(x, y)]
-
-
-def _schur(a, b, c, d, chart: Chart):
-    """A^-1, C A^-1 and the Schur complement S = D - (C A^-1) B."""
-    a_inv = even_matrix_inverse(a)
-    c_a_inv = grid_mul(c, a_inv, chart)
-    return a_inv, c_a_inv, grid_sub(d, grid_mul(c_a_inv, b, chart))
-
-
 def smat_inverse(m: SuperMatrix) -> SuperMatrix:
-    """Two-sided exact inverse of an invertible square supermatrix.
+    """Two-sided exact inverse of a square supermatrix, reduced next to the identity.
 
-    Requires the even diagonal blocks to be invertible (determinant with
-    nonzero body); this is the formal counterpart of "the cells overlap".
-    With S = D - C A^-1 B, whose body is that of D because C A^-1 B has no
-    body, the inverse is [[A^-1 - TR C A^-1, TR], [-S^-1 C A^-1, S^-1]]
-    with TR = -A^-1 B S^-1; the factors keep their order.
+    ValueError unless A and D - C A^-1 B have invertible determinants,
+    the formal counterpart of "the cells overlap".
     """
     if not m.is_square():
         raise ValueError("inverse of a non-square supermatrix")
-    p, q = m.row_shape
-    chart = m.chart
-    a, b, c, d = m.block_a(), m.block_b(), m.block_c(), m.block_d()
-    if p == 0:
-        return SuperMatrix(chart, m.row_shape, m.col_shape, even_matrix_inverse(d))
-    if q == 0:
-        return SuperMatrix(chart, m.row_shape, m.col_shape, even_matrix_inverse(a))
-    a_inv, c_a_inv, schur = _schur(a, b, c, d, chart)
-    bottom_right = even_matrix_inverse(schur)
-    minus_s_inv = [[-e for e in row] for row in bottom_right]
-    top_right = grid_mul(grid_mul(a_inv, b, chart), minus_s_inv, chart)
-    bottom_left = grid_mul(minus_s_inv, c_a_inv, chart)
-    top_left = grid_sub(a_inv, grid_mul(top_right, c_a_inv, chart))
-    grid = [tl + tr for tl, tr in zip(top_left, top_right)]
-    grid += [bl + br for bl, br in zip(bottom_left, bottom_right)]
-    return SuperMatrix(chart, m.row_shape, m.col_shape, grid)
+    identity = SuperMatrix.identity(m.chart, m.row_shape).entries
+    singular = "supermatrix is not invertible (no invertible pivot)"
+    grid = solve_square(m.entries, identity, EVEN_FUNCTIONS, "smat_inverse", singular)
+    return SuperMatrix(m.chart, m.row_shape, m.col_shape, grid)
 
 
 def berezinian(m: SuperMatrix) -> SuperFunction:
-    """Ber(M) = det(A) * det(D - C A^-1 B)^-1 for an invertible square M."""
+    """Ber(M) = det(A) * det(D - C A^-1 B)^-1 for an invertible square M.
+
+    M reduced on its first p columns holds the Schur complement in its
+    lower-right block: the odd rows lose C A^-1 times the even rows.
+    """
     if not m.is_square():
         raise ValueError("Berezinian of a non-square supermatrix")
     p, q = m.row_shape
-    chart = m.chart
     if q == 0:
         return even_det(m.block_a())
-    if p == 0:
-        return even_det(m.block_d()).invert()
-    a, b, c, d = m.block_a(), m.block_b(), m.block_c(), m.block_d()
-    schur = _schur(a, b, c, d, chart)[2]
-    return even_det(a) * even_det(schur).invert()
+    reduced = [list(row) for row in m.entries]
+    if len(gauss_jordan(reduced, p, EVEN_FUNCTIONS)) < p:
+        raise ValueError("even block A is not invertible (no invertible pivot)")
+    schur_det_inv = even_det([row[p:] for row in reduced[p:]]).invert()
+    return even_det(m.block_a()) * schur_det_inv if p else schur_det_inv

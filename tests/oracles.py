@@ -17,7 +17,7 @@ from superpi.atlas import (
 from superpi.cohomology import CechCochain1, TensorSection, pullback_tensor
 from superpi.report import PASS, UNDETERMINED, VerificationReport
 from superpi.superalgebra import SuperFunction, substitute
-from superpi.supermatrix import SuperMatrix, berezinian, grid_mul
+from superpi.supermatrix import SuperMatrix, berezinian, even_det, grid_mul
 
 
 def coboundary_of(atlas: Atlas, zero_cochain: Mapping[str, TensorSection]) -> CechCochain1:
@@ -108,3 +108,45 @@ def jacobian_chain_product(j_inner: SuperMatrix, j_outer_pulled: SuperMatrix) ->
 def _transpose(grid, width: int):
     """The transpose of a grid whose rows have the given width (also when it has no rows)."""
     return [[row[c] for row in grid] for c in range(width)]
+
+
+def grid_sub(x, y):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(x, y)]
+
+
+def even_inverse(rows):
+    """The adjugate of a square even grid over its determinant, which must have a body."""
+    n = len(rows)
+    det_inv = even_det(rows).invert()
+    if n == 1:
+        return [[det_inv]]
+    inverse = []
+    for i in range(n):
+        inverse.append([])
+        for j in range(n):
+            minor = [row[:i] + row[i + 1:] for r, row in enumerate(rows) if r != j]
+            cofactor = even_det(minor) * det_inv
+            inverse[-1].append(-cofactor if (i + j) % 2 else cofactor)
+    return inverse
+
+
+def schur_inverse(m: SuperMatrix) -> SuperMatrix:
+    """The block formula for the inverse of a (p|q) supermatrix with p, q > 0.
+
+    With S = D - C A^-1 B, the inverse is
+    [[A^-1 - TR C A^-1, TR], [-S^-1 C A^-1, S^-1]] with TR = -A^-1 B S^-1;
+    the factors keep their order, and even blocks are inverted by their
+    adjugates, so no step shares smat_inverse's elimination.
+    """
+    chart = m.chart
+    a, b, c, d = m.block_a(), m.block_b(), m.block_c(), m.block_d()
+    a_inv = even_inverse(a)
+    c_a_inv = grid_mul(c, a_inv, chart)
+    bottom_right = even_inverse(grid_sub(d, grid_mul(c_a_inv, b, chart)))
+    minus_s_inv = [[-e for e in row] for row in bottom_right]
+    top_right = grid_mul(grid_mul(a_inv, b, chart), minus_s_inv, chart)
+    bottom_left = grid_mul(minus_s_inv, c_a_inv, chart)
+    top_left = grid_sub(a_inv, grid_mul(top_right, c_a_inv, chart))
+    grid = [tl + tr for tl, tr in zip(top_left, top_right)]
+    grid += [bl + br for bl, br in zip(bottom_left, bottom_right)]
+    return SuperMatrix(chart, m.row_shape, m.col_shape, grid)

@@ -31,6 +31,8 @@ from superpi.suites import G24_EXPECTED_U1_U2, suite_pi_grassmannian_24
 from superpi.superalgebra import Chart, SuperFunction, parse_superfunction
 from superpi.supermatrix import SuperMatrix
 
+from oracles import schur_inverse
+
 
 class TestPiLine:
     def test_derived_transition_values(self):
@@ -176,6 +178,42 @@ class TestGrassmannian:
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
             build_super_grassmannian(0, 0, 2, 2)
+
+
+def _texts(m):
+    return [[entry.to_str() for entry in row] for row in m.entries]
+
+
+class TestTransformedCell:
+    @pytest.mark.parametrize(
+        "cells",
+        [pi_grassmannian_cells(2, 4), grassmannian_cells(1, 1, 2, 2), grassmannian_cells(2, 1, 3, 2)],
+        ids=["pi-24", "g-11-22", "g-21-32"],
+    )
+    def test_matches_block_inverse_times_cell(self, cells):
+        # The row reduction against B_IJ^-1 Z_I from the block formula for B_IJ^-1.
+        for zi in cells:
+            d0, d1, n, _ = zi.shape
+            for zj in cells:
+                if zj is zi:
+                    continue
+                cols = [*zj.index_even, *(n + c for c in zj.index_odd)]
+                grid = [[row[c] for c in cols] for row in zi.matrix.entries]
+                b = SuperMatrix(zi.chart, (d0, d1), (d0, d1), grid)
+                expected = schur_inverse(b) * zi.matrix
+                assert _texts(transformed_cell(zi, zj)) == _texts(expected), (zi.chart.name, zj.chart.name)
+
+    def test_missing_odd_pivot_is_no_overlap(self):
+        # U1 -> U4 of G(1|1; 2|2): B_IJ = [[x, th], [eta, w]] with w set to 0
+        # keeps A = x invertible, but D - C A^-1 B = -eta th / x has no body.
+        u1, _, _, u4 = grassmannian_cells(1, 1, 2, 2)
+        grid = [list(row) for row in u1.matrix.entries]
+        assert grid[1][3].parity == "even" and grid[0][1].parity == "even"
+        grid[1][3] = SuperFunction.zero(u1.chart)
+        matrix = SuperMatrix(u1.chart, u1.matrix.row_shape, u1.matrix.col_shape, grid)
+        degenerate = type(u1)(u1.chart, u1.shape, u1.index_even, u1.index_odd, matrix, u1.layout)
+        with pytest.raises(CellOverlapError, match="cells do not overlap"):
+            transformed_cell(degenerate, u4)
 
 
 class TestPiSymmetry:

@@ -1,6 +1,7 @@
 """Grassmann-variable arithmetic: Koszul signs, inversion, substitution."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +162,16 @@ class TestArithmetic:
         assert sf("(1)*[th10]").parity == "odd"
         assert sf("(z10) + (1)*[th10]").parity == "inhomogeneous"
         assert SuperFunction.zero(U0).parity == "even"
+
+    def test_is_constant_is_int_when_integral(self):
+        zero = SuperFunction.zero(U0).is_constant()
+        three = sf("(3)").is_constant()
+        half = sf("(3/2)").is_constant()
+        assert (type(zero), zero) == (int, 0)
+        assert (type(three), three) == (int, 3)
+        assert (type(half), half) == (Fraction, Fraction(3, 2))
+        assert sf("(z10)").is_constant() is None
+        assert sf("(1)*[th10*th20]").is_constant() is None
 
 
 def colliding_factors(k):

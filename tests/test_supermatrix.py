@@ -5,7 +5,6 @@ from itertools import permutations
 
 import pytest
 
-import superpi.supermatrix as supermatrix
 from superpi.atlas import super_jacobian
 from superpi.builders import build_pi_projective_closed
 from superpi.superalgebra import Chart, SuperFunction, parse_superfunction
@@ -13,13 +12,12 @@ from superpi.supermatrix import (
     SuperMatrix,
     berezinian,
     even_det,
-    even_matrix_inverse,
     grid_mul,
-    grid_sub,
     smat_inverse,
 )
 
 from conftest import random_invertible_supermatrix, random_superfunction
+from oracles import grid_sub, schur_inverse
 
 CH = Chart("M", ("z", "w"), ("s", "t"))
 
@@ -55,7 +53,7 @@ def berezinian_alt(m):
     if p == 0:
         return even_det(m.block_d()).invert()
     a, b, c, d = m.block_a(), m.block_b(), m.block_c(), m.block_d()
-    d_inv = even_matrix_inverse(d)
+    d_inv = smat_inverse(SuperMatrix(m.chart, (q, 0), (q, 0), d)).entries
     schur = grid_sub(a, grid_mul(grid_mul(b, d_inv, m.chart), c, m.chart))
     return even_det(schur) * even_det(d).invert()
 
@@ -143,20 +141,34 @@ class TestInverse:
             assert (m * inv).equals(ident22)
             assert (inv * m).equals(ident22)
 
-    def test_inverts_two_even_blocks(self, monkeypatch):
-        # Only A and the Schur complement D - C A^-1 B are inverted.
-        sizes = []
-        real = supermatrix.even_matrix_inverse
+    def test_purely_even_and_purely_odd_shapes(self):
+        zero = SuperFunction.zero(CH)
+        grid = [[sf("(z)"), sf("(1)*[s*t]")], [zero, sf("(w)")]]
+        for shape in ((2, 0), (0, 2)):
+            m = SuperMatrix(CH, shape, shape, grid)
+            inv = smat_inverse(m)
+            ident = SuperMatrix.identity(CH, shape)
+            assert (m * inv).equals(ident)
+            assert (inv * m).equals(ident)
 
-        def counted(rows):
-            sizes.append(len(rows))
-            return real(rows)
+    def test_nilpotent_schur_complement_rejected(self):
+        # A = 1 is invertible, but S = D - C A^-1 B = -t*s has no body.
+        m = SuperMatrix(
+            CH, (1, 1), (1, 1),
+            [[SuperFunction.one(CH), sf("(1)*[s]")], [sf("(1)*[t]"), SuperFunction.zero(CH)]],
+        )
+        with pytest.raises(ValueError, match="no invertible pivot"):
+            smat_inverse(m)
 
-        monkeypatch.setattr(supermatrix, "even_matrix_inverse", counted)
-        m = random_invertible_supermatrix(random.Random(5), CH, 2, 1)
-        inv = smat_inverse(m)
-        assert sizes == [2, 1]
-        assert (m * inv).equals(SuperMatrix.identity(CH, (2, 1)))
+    def test_matches_block_formula(self):
+        rng = random.Random(3)
+        for p, q, rounds in ((1, 1, 15), (2, 2, 8)):
+            for _ in range(rounds):
+                m = random_invertible_supermatrix(rng, CH, p, q)
+                expected = schur_inverse(m)
+                assert [[e.to_str() for e in row] for row in smat_inverse(m).entries] == [
+                    [e.to_str() for e in row] for row in expected.entries
+                ]
 
     def test_non_square_rejected(self):
         one = SuperFunction.one(CH)
@@ -217,12 +229,11 @@ class TestEvenDet:
                 assert even_det(rows).equals(cofactor_det(rows))
 
     def test_inverse_of_even_matrix(self):
-        rng = random.Random(6)
         rows = [
             [sf("(z)"), sf("(1)*[s*t]")],
             [SuperFunction.zero(CH), sf("(w)")],
         ]
-        inv = even_matrix_inverse(rows)
+        inv = smat_inverse(SuperMatrix(CH, (2, 0), (2, 0), rows)).entries
         prod = [
             [
                 rows[i][0] * inv[0][j] + rows[i][1] * inv[1][j]
@@ -236,18 +247,24 @@ class TestEvenDet:
 
     def test_even_inverse_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            even_matrix_inverse([[sf("(z)"), sf("(1)")]])
+            smat_inverse(SuperMatrix(CH, (1, 0), (2, 0), [[sf("(z)"), sf("(1)")]]))
         with pytest.raises(ValueError, match="square"):
-            even_matrix_inverse([[sf("(z)")], [sf("(1)")]])
+            smat_inverse(SuperMatrix(CH, (2, 0), (1, 0), [[sf("(z)")], [sf("(1)")]]))
 
     def test_even_inverse_needs_invertible_pivot(self):
         with pytest.raises(ValueError, match="no invertible pivot"):
-            even_matrix_inverse([[sf("(1)*[s*t]")]])
+            smat_inverse(SuperMatrix(CH, (1, 0), (1, 0), [[sf("(1)*[s*t]")]]))
 
 
 class TestBerezinian:
     def test_identity(self):
         assert berezinian(SuperMatrix.identity(CH, (2, 2))).equals(SuperFunction.one(CH))
+
+    def test_needs_an_invertible_even_block(self):
+        zero, one = SuperFunction.zero(CH), SuperFunction.one(CH)
+        m = SuperMatrix(CH, (1, 1), (1, 1), [[sf("(1)*[s*t]"), zero], [zero, one]])
+        with pytest.raises(ValueError, match="no invertible pivot"):
+            berezinian(m)
 
     def test_block_formulas_agree_randomised(self):
         rng = random.Random(7)
