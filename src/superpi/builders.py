@@ -5,16 +5,16 @@ Projective superspaces and Pi-projective spaces come both in closed form
 Z_J = B_IJ^-1 Z_I, reading the new coordinates off the free columns).  The
 two routes are kept independent so they can be checked against each other.
 
-Coordinate naming:
+Coordinate naming goes through coordinate_name(prefix, *indices), which
+runs the indices together while each is a single digit (z10, x12) and puts
+an underscore before each index otherwise (z_10_0, x_1_10):
 
-  * projective-style charts U_i carry z{k}{i} and th{k}{i} (indices are the
-    ambient column labels, chart index last);
-  * rank-2 Grassmannian cells follow the row-wise scheme x{m}{s}, y{m}{s}
-    with odd partners th{m}{s}, xi{m}{s}, where m counts free columns and s
-    numbers the cell;
+  * projective-style charts U_i carry z and th indexed (k, i): k is an
+    ambient column label, the chart index comes last;
+  * rank-2 Grassmannian cells follow the row-wise scheme x, y with odd
+    partners th, xi, indexed (m, s): m counts free columns and s numbers
+    the cell;
   * other cell shapes use a generic row/column scheme x{r}_{m} etc.
-
-Single-digit ambient indices are enforced so names stay unambiguous.
 """
 
 from __future__ import annotations
@@ -263,14 +263,20 @@ def check_pi_symmetric(matrix: SuperMatrix) -> bool:
 # -- named atlases ------------------------------------------------------------
 
 
-def _check_digit(value: int, what: str):
-    if not 0 <= value <= 9:
-        raise ValueError(f"{what} must stay in 0..9 to keep coordinate names unambiguous")
+def coordinate_name(prefix: str, *indices: int) -> str:
+    """prefix followed by the indices: run together when every index is in
+    0..9 (z10, x12), else each behind an underscore (z_10_0, x_1_10).  A
+    run-together name holds no underscore, so no two index tuples share a
+    name."""
+    if all(0 <= index <= 9 for index in indices):
+        return prefix + "".join(map(str, indices))
+    return prefix + "".join(f"_{index}" for index in indices)
 
 
-def projective_chart(n: int, m: int, i: int) -> Chart:
-    even = tuple(f"z{k}{i}" for k in range(n + 1) if k != i)
-    odd = tuple(f"th{a}{i}" for a in range(1, m + 1))
+def projective_chart(n: int, i: int, odd_labels: Sequence[int]) -> Chart:
+    """The chart U_i: z_ki for k != i in 0..n and th_ai for a in odd_labels."""
+    even = tuple(coordinate_name("z", k, i) for k in range(n + 1) if k != i)
+    odd = tuple(coordinate_name("th", a, i) for a in odd_labels)
     return Chart(f"U{i}", even, odd)
 
 
@@ -281,36 +287,28 @@ def build_projective_superspace(n: int, m: int) -> Atlas:
     """
     if n < 1 or m < 0:
         raise ValueError("projective superspace needs n >= 1, m >= 0")
-    _check_digit(n, "n")
-    _check_digit(m, "m")
-    charts = [projective_chart(n, m, i) for i in range(n + 1)]
+    charts = [projective_chart(n, i, range(1, m + 1)) for i in range(n + 1)]
     transitions: dict[tuple[str, str], TransitionMap] = {}
     for i, src in enumerate(charts):
         for j, tgt in enumerate(charts):
             if i == j:
                 continue
-            z_ji = SuperFunction.coordinate(src, f"z{j}{i}")
+            z_ji = SuperFunction.coordinate(src, coordinate_name("z", j, i))
             inv = z_ji.invert()
             images: dict[str, SuperFunction] = {}
             for ell in range(n + 1):
                 if ell == j:
                     continue
                 if ell == i:
-                    images[f"z{i}{j}"] = inv
+                    images[coordinate_name("z", i, j)] = inv
                 else:
-                    images[f"z{ell}{j}"] = (
-                        SuperFunction.coordinate(src, f"z{ell}{i}") * inv
-                    )
+                    z_li = SuperFunction.coordinate(src, coordinate_name("z", ell, i))
+                    images[coordinate_name("z", ell, j)] = z_li * inv
             for a in range(1, m + 1):
-                images[f"th{a}{j}"] = SuperFunction.coordinate(src, f"th{a}{i}") * inv
+                th_ai = SuperFunction.coordinate(src, coordinate_name("th", a, i))
+                images[coordinate_name("th", a, j)] = th_ai * inv
             transitions[(src.name, tgt.name)] = TransitionMap(src, tgt, images)
     return Atlas(charts, transitions)
-
-
-def pi_projective_chart(n: int, i: int) -> Chart:
-    even = tuple(f"z{k}{i}" for k in range(n + 1) if k != i)
-    odd = tuple(f"th{k}{i}" for k in range(n + 1) if k != i)
-    return Chart(f"U{i}", even, odd)
 
 
 def build_pi_projective_closed(n: int, scale: Fraction | int = 1) -> Atlas:
@@ -324,45 +322,45 @@ def build_pi_projective_closed(n: int, scale: Fraction | int = 1) -> Atlas:
     """
     if n < 1:
         raise ValueError("Pi-projective space needs n >= 1")
-    _check_digit(n, "n")
     scale = exact(scale)
-    charts = [pi_projective_chart(n, i) for i in range(n + 1)]
+    charts = [
+        projective_chart(n, i, [k for k in range(n + 1) if k != i]) for i in range(n + 1)
+    ]
     transitions: dict[tuple[str, str], TransitionMap] = {}
     for i, src in enumerate(charts):
         for j, tgt in enumerate(charts):
             if i == j:
                 continue
-            z_ji = SuperFunction.coordinate(src, f"z{j}{i}")
-            th_ji = SuperFunction.coordinate(src, f"th{j}{i}")
+            z_ji = SuperFunction.coordinate(src, coordinate_name("z", j, i))
+            th_ji = SuperFunction.coordinate(src, coordinate_name("th", j, i))
             inv = z_ji.invert()
             inv2 = inv * inv
             images: dict[str, SuperFunction] = {}
-            images[f"z{i}{j}"] = inv
-            images[f"th{i}{j}"] = -(th_ji * inv2)
+            images[coordinate_name("z", i, j)] = inv
+            images[coordinate_name("th", i, j)] = -(th_ji * inv2)
             for ell in range(n + 1):
                 if ell in (i, j):
                     continue
-                z_li = SuperFunction.coordinate(src, f"z{ell}{i}")
-                th_li = SuperFunction.coordinate(src, f"th{ell}{i}")
-                images[f"z{ell}{j}"] = (
+                z_li = SuperFunction.coordinate(src, coordinate_name("z", ell, i))
+                th_li = SuperFunction.coordinate(src, coordinate_name("th", ell, i))
+                images[coordinate_name("z", ell, j)] = (
                     z_li * inv + (th_ji * th_li * inv2).scale(scale)
                 )
-                images[f"th{ell}{j}"] = th_li * inv - z_li * inv2 * th_ji
+                images[coordinate_name("th", ell, j)] = th_li * inv - z_li * inv2 * th_ji
             transitions[(src.name, tgt.name)] = TransitionMap(src, tgt, images)
     return Atlas(charts, transitions)
 
 
 def pi_projective_cell(n: int, i: int) -> BigCell:
     """The (1|1) x (n+1|n+1) Pi-cell carried by the chart U_i."""
-    _check_digit(n, "n")
     free = [c for c in range(n + 1) if c != i]
     return make_pi_cell(
         1,
         n + 1,
         (i,),
         f"U{i}",
-        lambda r, mi: f"z{free[mi]}{i}",
-        lambda r, mi: f"th{free[mi]}{i}",
+        lambda r, mi: coordinate_name("z", free[mi], i),
+        lambda r, mi: coordinate_name("th", free[mi], i),
     )
 
 
@@ -370,8 +368,8 @@ def _row_wise_names(idx: int) -> tuple[Callable[[int, int], str], Callable[[int,
     """The rank-2 row-wise scheme of cell idx as (row, ordinal) namers:
     x/y for the even coordinates, th/xi for their odd partners."""
     return (
-        lambda r, mi: f"{'xy'[r]}{mi + 1}{idx}",
-        lambda r, mi: f"{('th', 'xi')[r]}{mi + 1}{idx}",
+        lambda r, mi: coordinate_name("xy"[r], mi + 1, idx),
+        lambda r, mi: coordinate_name(("th", "xi")[r], mi + 1, idx),
     )
 
 
@@ -379,8 +377,6 @@ def grassmannian_cells(d0: int, d1: int, n: int, m: int) -> list[BigCell]:
     """All big cells of G(d0|d1; n|m) in lexicographic index order."""
     if not (0 <= d0 <= n and 0 <= d1 <= m) or (d0, d1) == (0, 0):
         raise ValueError(f"invalid Grassmannian shape ({d0}|{d1}; {n}|{m})")
-    _check_digit(n, "n")
-    _check_digit(m, "m")
     cells = []
     combos = [
         (i0, i1)
@@ -393,8 +389,8 @@ def grassmannian_cells(d0: int, d1: int, n: int, m: int) -> list[BigCell]:
             free = [c for c in range(n) if c != i]
             cell = make_big_cell(
                 d0, d1, n, m, i0, i1, f"U{i}",
-                lambda block, r, mi, i=i, free=free: f"z{free[mi]}{i}",
-                lambda block, r, mi, i=i: f"th{mi + 1}{i}",
+                lambda block, r, mi, i=i, free=free: coordinate_name("z", free[mi], i),
+                lambda block, r, mi, i=i: coordinate_name("th", mi + 1, i),
             )
         elif d0 == 2 and d1 == 0 and n == 4:
             even, odd = _row_wise_names(idx)
@@ -436,17 +432,18 @@ def build_super_grassmannian(d0: int, d1: int, n: int, m: int) -> Atlas:
 
 
 def pi_grassmannian_cells(k: int, big_n: int) -> list[BigCell]:
-    """Pi-symmetric cells: the full family for k=1, the (2, 4) case beyond."""
+    """Pi-symmetric cells: the full family for k=1, the row-wise rank-2
+    cells for k=2 and N >= 3."""
     if k == 1 and big_n >= 2:
         return [pi_projective_cell(big_n - 1, i) for i in range(big_n)]
-    if k == 2 and big_n == 4:
+    if k == 2 and big_n >= 3:
         return [
-            make_pi_cell(2, 4, index, f"U{idx}", *_row_wise_names(idx))
-            for idx, index in enumerate(combinations(range(4), 2), start=1)
+            make_pi_cell(2, big_n, index, f"U{idx}", *_row_wise_names(idx))
+            for idx, index in enumerate(combinations(range(big_n), 2), start=1)
         ]
     raise ValueError(
         f"unsupported Pi-Grassmannian shape (k={k}, N={big_n}); "
-        "only k=1 and (k, N) = (2, 4) are exposed"
+        "only k=1 with N >= 2 and k=2 with N >= 3 are exposed"
     )
 
 

@@ -132,7 +132,7 @@ def _run_dump(args) -> int:
                 f"chart {chart.name}: even {', '.join(chart.even_coords)}"
                 + (f" | odd {', '.join(chart.odd_coords)}" if chart.odd_coords else "")
             )
-    pairs = sorted((i, j) for i, j in atlas.transitions if i != j)
+    pairs = atlas.pairs()
     if args.what == "transitions":
         source = getattr(args, "source", None)
         target = getattr(args, "target", None)

@@ -28,7 +28,7 @@ from itertools import combinations, product
 from typing import Mapping, Optional
 
 from .atlas import Atlas, TransitionMap
-from .builders import build_projective_superspace, reduce_atlas
+from .builders import build_projective_superspace, coordinate_name, reduce_atlas
 from .rational import (
     Poly,
     RatFun,
@@ -42,6 +42,11 @@ from .report import FAIL, PASS, VerificationReport
 from .superalgebra import Chart, Pullback, SuperFunction
 
 SectionKey = tuple[str, tuple[str, str]]  # (vector coord, (form coord a, form coord b))
+
+# The most entries (rows x columns) a coboundary system may have before it
+# is written out dense for the exact solve: the 25,020 x 4,200 system of
+# n = 4 at degree bound 3 fits, the 131,910 x 16,800 one of n = 5 does not.
+MAX_DENSE_ENTRIES = 120_000_000
 
 
 @dataclass(frozen=True)
@@ -205,14 +210,15 @@ def omega_representative(n: int, scale: Fraction | int = 1) -> CechCochain1:
     for i, j in combinations(range(n + 1), 2):
         chart = atlas.chart(f"U{j}")
         comp: dict[SectionKey, RatFun] = {}
-        z_ij = RatFun.var(chart.even_coords, f"z{i}{j}")
+        z = {k: coordinate_name("z", k, j) for k in range(n + 1)}
+        z_ij = RatFun.var(chart.even_coords, z[i])
         for k in range(n + 1):
             if k in (i, j):
                 continue
             a, b = (i, k) if i < k else (k, i)
             sign = 1 if i < k else -1
             coeff = z_ij.inverse().scale(scale * sign)
-            comp[(f"z{k}{j}", (f"z{a}{j}", f"z{b}{j}"))] = coeff
+            comp[(z[k], (z[a], z[b]))] = coeff
         sections[(f"U{i}", f"U{j}")] = TensorSection(chart, comp)
     return CechCochain1(atlas, sections)
 
@@ -367,9 +373,9 @@ class HomogeneousSection:
         if not self.components:
             return "0"
         parts = []
-        for key in sorted(self.components):
-            k, (a, b) = key
-            parts.append(f"e{a}^e{b} (x) d/dz{k}{self.chart_index}: {self.components[key].to_str()}")
+        for (k, (a, b)), coeff in sorted(self.components.items()):
+            frame = coordinate_name("z", k, self.chart_index)
+            parts.append(f"e{a}^e{b} (x) d/d{frame}: {coeff.to_str()}")
         return "; ".join(parts)
 
 
@@ -541,8 +547,9 @@ def lifting_verify(n: int) -> VerificationReport:
         coords = [k for k in range(n + 1) if k != i]
         for a, b in combinations(coords, 2):
             image = alternating_quotient_wedge(n, wedge_inclusion(n, a, b, i), i)
+            z_a, z_b = coordinate_name("z", a, i), coordinate_name("z", b, i)
             report.add_bool(
-                f"exactness/U{i}/dz{a}{i}^dz{b}{i}",
+                f"exactness/U{i}/d{z_a}^d{z_b}",
                 not image,
                 f"nonzero image {sorted(image)}",
             )
@@ -595,7 +602,8 @@ def coboundary_solve(
     degree_bound on each chart; differences are compared in the frames of
     the later chart of each pair.  The assembled linear system over Q is
     solved exactly; free unknowns are fixed to zero.  A negative
-    degree_bound raises ValueError.
+    degree_bound raises ValueError, and so does a system of more than
+    MAX_DENSE_ENTRIES entries, before any dense row is built.
     """
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
@@ -616,7 +624,8 @@ def coboundary_solve(
                 col_index[full] = len(columns)
                 columns.append(full)
 
-    rows: list[list[Fraction]] = []
+    zero = Fraction(0)
+    rows: list[dict[int, Fraction]] = []
     rhs_values: list[Fraction] = []
     for i_name, j_name in combinations(names, 2):
         chart_i = atlas.chart(i_name)
@@ -652,15 +661,26 @@ def coboundary_solve(
             for _, p in poly_terms:
                 monos.update(p.terms)
             for mono in sorted(monos):
-                row = [Fraction(0)] * len(columns)
+                row: dict[int, Fraction] = {}
                 for col, p in poly_terms:
                     coeff = p.terms.get(mono)
                     if coeff:
-                        row[col] += coeff
+                        row[col] = row.get(col, zero) + coeff
                 rows.append(row)
                 rhs_values.append(rhs_poly.terms.get(mono, Fraction(0)))
 
-    solution = solve_fraction_system(rows, rhs_values)
+    if len(rows) * len(columns) > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"coboundary system of {len(rows)} x {len(columns)} exceeds "
+            f"{MAX_DENSE_ENTRIES} entries; lower the degree bound or n"
+        )
+    dense = []
+    for row in rows:
+        entries = [zero] * len(columns)
+        for col, value in row.items():
+            entries[col] = value
+        dense.append(entries)
+    solution = solve_fraction_system(dense, rhs_values)
     if solution is None:
         return None
     out: dict[str, TensorSection] = {}

@@ -15,6 +15,8 @@ from superpi.builders import (
     build_projective_superspace,
     build_super_grassmannian,
     check_pi_symmetric,
+    coordinate_name,
+    derive_pi_grassmannian,
     derive_transition_from_cells,
     grassmannian_cells,
     make_big_cell,
@@ -94,6 +96,34 @@ class TestProjectiveSuperspace:
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
             build_projective_superspace(0, 1)
+
+
+class TestCoordinateNames:
+    def test_names_are_distinct_and_run_together_only_for_digits(self):
+        for prefix in ("z", "th"):
+            names = {}
+            for i in range(121):
+                for j in range(121):
+                    name = coordinate_name(prefix, i, j)
+                    assert (name == f"{prefix}{i}{j}") == (i <= 9 and j <= 9)
+                    assert names.setdefault(name, (i, j)) == (i, j)
+        assert coordinate_name("z", 10, 0) == "z_10_0"
+        assert coordinate_name("x", 1, 10) == "x_1_10"
+
+    def test_images_past_nine_round_trip_through_the_parser(self):
+        atlas = build_pi_projective_closed(10)
+        assert {"z10", "z_10_0", "th90", "th_10_0"} <= set(atlas.chart("U0").coords)
+        assert {"z_0_10", "z_9_10", "th_0_10"} <= set(atlas.chart("U10").coords)
+        for pair in (("U0", "U10"), ("U10", "U0")):
+            t = atlas.transition(*pair)
+            assert len(t.images) == 20
+            for image in t.images.values():
+                assert parse_superfunction(image.to_str(), t.source).equals(image)
+
+    def test_projective_superspace_past_nine(self):
+        atlas = build_projective_superspace(10, 11)
+        assert atlas.chart("U10").odd_coords[-1] == "th_11_10"
+        assert atlas.chart("U0").even_coords[-1] == "z_10_0"
 
 
 class TestPiProjective:
@@ -286,6 +316,18 @@ class TestPiGrassmannian24:
     def test_unsupported_shapes_rejected(self):
         with pytest.raises(ValueError, match="unsupported"):
             build_pi_grassmannian(3, 6)
+        with pytest.raises(ValueError, match="unsupported"):
+            pi_grassmannian_cells(2, 2)
+
+    def test_rank_two_cells_past_four_columns(self):
+        atlas, witnesses = derive_pi_grassmannian(2, 5)
+        assert atlas.chart_names() == [f"U{idx}" for idx in range(1, 11)]
+        assert atlas.chart("U10").even_coords == (
+            "x_1_10", "x_2_10", "x_3_10", "y_1_10", "y_2_10", "y_3_10"
+        )
+        assert atlas.chart("U9").odd_coords == ("th19", "th29", "th39", "xi19", "xi29", "xi39")
+        assert len(witnesses) == 90
+        assert all(witness == "" for witness in witnesses.values())
 
     def test_non_overlapping_guard(self):
         # a degenerate template whose selected columns are not invertible

@@ -114,6 +114,23 @@ class TestVerify:
         assert captured.err.startswith("superpi: error: ")
         assert not target.parent.exists()
 
+    def test_oversized_obstruction_system_exits_two(self, capsys, monkeypatch):
+        from superpi import cohomology
+
+        monkeypatch.setattr(cohomology, "MAX_DENSE_ENTRIES", 100)
+        code = main(["verify", "obstruction", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "coboundary system of 135 x 60 exceeds 100 entries" in captured.err
+
+    def test_pi_projective_past_nine(self, capsys):
+        code = main(["verify", "pi-projective", "--n", "10"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[    pass    ] derivation/cells-match-closed\n" in out
+        assert out.endswith(" 0 fail, 0 undetermined\n")
+
     def test_internal_error_exits_two(self, capsys):
         code = main(["verify", "lifting", "--n", "9"])
         assert code == 2
@@ -167,6 +184,14 @@ class TestDump:
                 continue
             name, text = (part.strip() for part in line.split("=", 1))
             assert parse_superfunction(text, chart).equals(t.images[name])
+
+    def test_dump_lists_pairs_in_atlas_order(self, capsys):
+        code = main(["dump", "transitions", "--family", "pi-projective", "--n", "10",
+                     "--source", "U0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        headers = [line for line in out.splitlines() if line.startswith("transition")]
+        assert headers == [f"transition U0 -> U{j}:" for j in range(1, 11)]
 
     def test_dump_missing_pair(self, capsys):
         code = main(

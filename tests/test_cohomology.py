@@ -305,6 +305,18 @@ class TestCoboundary:
             coboundary_refute(omega, -2)
         assert coboundary_refute(omega, 0).all_passed
 
+    def test_oversized_system_refused_before_densifying(self, monkeypatch):
+        monkeypatch.setattr(cohomology, "MAX_DENSE_ENTRIES", 135 * 60 - 1)
+        monkeypatch.setattr(
+            cohomology, "solve_fraction_system", lambda *a: pytest.fail("dense solve reached")
+        )
+        with pytest.raises(ValueError, match="135 x 60"):
+            coboundary_solve(omega_representative(2), 3)
+
+    def test_system_at_the_bound_is_solved(self, monkeypatch):
+        monkeypatch.setattr(cohomology, "MAX_DENSE_ENTRIES", 135 * 60)
+        assert coboundary_solve(omega_representative(2), 3) is None
+
     def test_one_body_inverse_per_pair(self, monkeypatch):
         inversions = []
         real = cohomology.rat_mat_inverse

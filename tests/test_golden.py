@@ -1,11 +1,12 @@
 """Golden behaviour corpus: CLI output must stay identical down to the byte.
 
 `tests/golden/` holds the text and JSON report of every call of the desk
-battery `superpi.cli.DESK`, plus one G_Pi(2, 4) transition dump and two
-`dump atlas` outputs.  The test regenerates all of them in fresh
-interpreters under two PYTHONHASHSEED values and compares byte for byte, so
-a refactor that changes any representative, verdict or ordering shows up
-here.
+battery `superpi.cli.DESK`, plus two transition dumps (one G_Pi(2, 4) pair,
+and one P^10_Pi pair whose names take both forms of
+`builders.coordinate_name`) and two `dump atlas` outputs.  The test
+regenerates all of them in fresh interpreters under two PYTHONHASHSEED
+values and compares byte for byte, so a refactor that changes any
+representative, verdict or ordering shows up here.
 
 Regenerate the corpus (only for an intended output change) with
 
@@ -31,6 +32,7 @@ HASH_SEEDS = ("0", "4242")
 FORMATS = ((), ("--format", "json"))
 DUMPS = (
     ("dump", "transitions", "--family", "pi-grassmannian-24", "--source", "U1", "--target", "U2"),
+    ("dump", "transitions", "--family", "pi-projective", "--n", "10", "--source", "U0", "--target", "U10"),
     ("dump", "atlas", "--family", "pi-projective", "--n", "3"),
     ("dump", "atlas", "--family", "grassmannian", "--d0", "1", "--d1", "1", "--vn", "2", "--vm", "2"),
 )
