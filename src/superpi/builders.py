@@ -1,9 +1,11 @@
 """Constructors for the atlases the engine verifies.
 
-Projective superspaces and Pi-projective spaces come both in closed form
-(explicit transition formulas) and derived form (big cells glued through
-Z_J = B_IJ^-1 Z_I, reading the new coordinates off the free columns).  The
-two routes are kept independent so they can be checked against each other.
+Every family is derived from its big cells, glued through
+Z_J = B_IJ^-1 Z_I with the new coordinates read off the free columns.  The
+projective superspace P^{n|m} is the rank-(1|0) super Grassmannian
+G(1|0; n+1|m) and comes from its cells only.  P^n_Pi alone has a second
+route, the paper's closed-form transition formulas; the two routes are
+kept independent so they can be checked against each other.
 
 Coordinate naming goes through coordinate_name(prefix, *indices), which
 runs the indices together while each is a single digit (z10, x12) and puts
@@ -11,9 +13,10 @@ an underscore before each index otherwise (z_10_0, x_1_10):
 
   * projective-style charts U_i carry z and th indexed (k, i): k is an
     ambient column label, the chart index comes last;
-  * rank-2 Grassmannian cells follow the row-wise scheme x, y with odd
-    partners th, xi, indexed (m, s): m counts free columns and s numbers
-    the cell;
+  * rank-2 cells, every (2|0) cell of G(2|0; N|0) and every Pi-cell of
+    G_Pi(2, N), follow the row-wise scheme x, y with odd partners th, xi,
+    indexed (m, s): m counts free columns and s numbers the cell, so the
+    reduced G_Pi(2, N) is G(2|0; N|0) name for name;
   * other cell shapes use a generic row/column scheme x{r}_{m} etc.
 """
 
@@ -273,42 +276,16 @@ def coordinate_name(prefix: str, *indices: int) -> str:
     return prefix + "".join(f"_{index}" for index in indices)
 
 
-def projective_chart(n: int, i: int, odd_labels: Sequence[int]) -> Chart:
-    """The chart U_i: z_ki for k != i in 0..n and th_ai for a in odd_labels."""
-    even = tuple(coordinate_name("z", k, i) for k in range(n + 1) if k != i)
-    odd = tuple(coordinate_name("th", a, i) for a in odd_labels)
-    return Chart(f"U{i}", even, odd)
-
-
 def build_projective_superspace(n: int, m: int) -> Atlas:
     """The split supermanifold with n+1 charts, odd part m copies of O(-1).
 
     Transitions: z_lj = z_li / z_ji (and z_ij = 1/z_ji), th_aj = th_ai / z_ji.
+    It is the rank-(1|0) super Grassmannian G(1|0; n+1|m), derived from its
+    big cells.
     """
     if n < 1 or m < 0:
         raise ValueError("projective superspace needs n >= 1, m >= 0")
-    charts = [projective_chart(n, i, range(1, m + 1)) for i in range(n + 1)]
-    transitions: dict[tuple[str, str], TransitionMap] = {}
-    for i, src in enumerate(charts):
-        for j, tgt in enumerate(charts):
-            if i == j:
-                continue
-            z_ji = SuperFunction.coordinate(src, coordinate_name("z", j, i))
-            inv = z_ji.invert()
-            images: dict[str, SuperFunction] = {}
-            for ell in range(n + 1):
-                if ell == j:
-                    continue
-                if ell == i:
-                    images[coordinate_name("z", i, j)] = inv
-                else:
-                    z_li = SuperFunction.coordinate(src, coordinate_name("z", ell, i))
-                    images[coordinate_name("z", ell, j)] = z_li * inv
-            for a in range(1, m + 1):
-                th_ai = SuperFunction.coordinate(src, coordinate_name("th", a, i))
-                images[coordinate_name("th", a, j)] = th_ai * inv
-            transitions[(src.name, tgt.name)] = TransitionMap(src, tgt, images)
-    return Atlas(charts, transitions)
+    return build_super_grassmannian(1, 0, n + 1, m)
 
 
 def build_pi_projective_closed(n: int, scale: Fraction | int = 1) -> Atlas:
@@ -323,9 +300,14 @@ def build_pi_projective_closed(n: int, scale: Fraction | int = 1) -> Atlas:
     if n < 1:
         raise ValueError("Pi-projective space needs n >= 1")
     scale = exact(scale)
-    charts = [
-        projective_chart(n, i, [k for k in range(n + 1) if k != i]) for i in range(n + 1)
-    ]
+    charts = []
+    for i in range(n + 1):
+        labels = [k for k in range(n + 1) if k != i]
+        charts.append(Chart(
+            f"U{i}",
+            tuple(coordinate_name("z", k, i) for k in labels),
+            tuple(coordinate_name("th", k, i) for k in labels),
+        ))
     transitions: dict[tuple[str, str], TransitionMap] = {}
     for i, src in enumerate(charts):
         for j, tgt in enumerate(charts):
@@ -392,7 +374,7 @@ def grassmannian_cells(d0: int, d1: int, n: int, m: int) -> list[BigCell]:
                 lambda block, r, mi, i=i, free=free: coordinate_name("z", free[mi], i),
                 lambda block, r, mi, i=i: coordinate_name("th", mi + 1, i),
             )
-        elif d0 == 2 and d1 == 0 and n == 4:
+        elif d0 == 2 and d1 == 0:
             even, odd = _row_wise_names(idx)
             cell = make_big_cell(
                 d0, d1, n, m, i0, i1, f"U{idx}",

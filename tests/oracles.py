@@ -14,9 +14,10 @@ from superpi.atlas import (
     super_jacobian,
     transition_mismatch,
 )
+from superpi.builders import coordinate_name
 from superpi.cohomology import CechCochain1, TensorSection, pullback_tensor
 from superpi.report import PASS, UNDETERMINED, VerificationReport
-from superpi.superalgebra import SuperFunction, substitute
+from superpi.superalgebra import Chart, SuperFunction, substitute
 from superpi.supermatrix import SuperMatrix, berezinian, even_det, grid_mul
 
 
@@ -71,6 +72,40 @@ def exhaustive_berezinian(atlas: Atlas) -> VerificationReport:
     else:
         report.add("verdict", UNDETERMINED, "undetermined")
     return report
+
+
+def closed_projective_superspace(n: int, m: int) -> Atlas:
+    """P^{n|m} from its transition formulas, without big cells.
+
+    Charts U_i carry z_ki for k != i and th_ai for a in 1..m; the
+    transitions are z_lj = z_li / z_ji (and z_ij = 1/z_ji), th_aj = th_ai / z_ji.
+    """
+    charts = [
+        Chart(
+            f"U{i}",
+            tuple(coordinate_name("z", k, i) for k in range(n + 1) if k != i),
+            tuple(coordinate_name("th", a, i) for a in range(1, m + 1)),
+        )
+        for i in range(n + 1)
+    ]
+    transitions: dict[tuple[str, str], TransitionMap] = {}
+    for i, src in enumerate(charts):
+        for j, tgt in enumerate(charts):
+            if i == j:
+                continue
+            inv = SuperFunction.coordinate(src, coordinate_name("z", j, i)).invert()
+            images: dict[str, SuperFunction] = {}
+            for ell in range(n + 1):
+                if ell == i:
+                    images[coordinate_name("z", i, j)] = inv
+                elif ell != j:
+                    z_li = SuperFunction.coordinate(src, coordinate_name("z", ell, i))
+                    images[coordinate_name("z", ell, j)] = z_li * inv
+            for a in range(1, m + 1):
+                th_ai = SuperFunction.coordinate(src, coordinate_name("th", a, i))
+                images[coordinate_name("th", a, j)] = th_ai * inv
+            transitions[(src.name, tgt.name)] = TransitionMap(src, tgt, images)
+    return Atlas(charts, transitions)
 
 
 def map_entries(m: SuperMatrix, fn: Callable[[SuperFunction], SuperFunction]) -> SuperMatrix:

@@ -33,7 +33,7 @@ from superpi.suites import G24_EXPECTED_U1_U2, suite_pi_grassmannian_24
 from superpi.superalgebra import Chart, SuperFunction, parse_superfunction
 from superpi.supermatrix import SuperMatrix
 
-from oracles import schur_inverse
+from oracles import closed_projective_superspace, schur_inverse
 
 
 class TestPiLine:
@@ -65,6 +65,11 @@ class TestPiLine:
         assert transition_mismatch(t, identity_transition(t.source)) == ""
 
 
+def _representation(f):
+    """The stored components of f as (odd monomial, numerator terms, denominator terms)."""
+    return [(mon, c.num.terms, c.den.terms) for mon, c in f.components.items()]
+
+
 class TestProjectiveSuperspace:
     def test_line_transitions(self):
         atlas = build_projective_superspace(1, 1)
@@ -83,15 +88,22 @@ class TestProjectiveSuperspace:
     def test_cocycle(self):
         assert check_cocycle(build_projective_superspace(2, 3)).all_passed
 
-    def test_matches_rank_one_grassmannian(self):
-        atlas = build_projective_superspace(1, 2)
-        derived = build_super_grassmannian(1, 0, 2, 2)
-        assert atlas_mismatch(derived, atlas) == ""
-
-    def test_superline_from_cells(self):
-        assert atlas_mismatch(
-            build_super_grassmannian(1, 0, 2, 1), build_projective_superspace(1, 1)
-        ) == ""
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in range(1, 6) for m in range(4)] + [(10, 11)]
+    )
+    def test_matches_rank_one_grassmannian(self, n, m):
+        # P^{n|m} comes from the cells of G(1|0; n+1|m); the closed formulas
+        # must give the same charts and the same representation of every image.
+        atlas = build_projective_superspace(n, m)
+        closed = closed_projective_superspace(n, m)
+        assert atlas.charts == closed.charts
+        assert sorted(atlas.transitions) == sorted(closed.transitions)
+        for pair, expected in closed.transitions.items():
+            images = atlas.transitions[pair].images
+            assert list(images) == list(expected.images), pair
+            for name, value in expected.images.items():
+                assert _representation(images[name]) == _representation(value), (pair, name)
+                assert images[name].to_str() == value.to_str(), (pair, name)
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
@@ -208,6 +220,21 @@ class TestGrassmannian:
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
             build_super_grassmannian(0, 0, 2, 2)
+
+    @pytest.mark.parametrize("big_n", [3, 4])
+    def test_reduced_pi_grassmannian_is_the_even_one(self, big_n):
+        reduced = reduce_atlas(build_pi_grassmannian(2, big_n))
+        assert atlas_mismatch(reduced, build_super_grassmannian(2, 0, big_n, 0)) == ""
+
+    @pytest.mark.parametrize("big_n", [5, 6])
+    def test_rank_two_cells_share_the_pi_cells_names(self, big_n):
+        even_cells = grassmannian_cells(2, 0, big_n, 0)
+        pi_cells = pi_grassmannian_cells(2, big_n)
+        assert len(even_cells) == len(pi_cells) == comb(big_n, 2)
+        for even, pi in zip(even_cells, pi_cells):
+            assert even.chart.name == pi.chart.name
+            assert even.chart.even_coords == pi.chart.even_coords
+            assert even.chart.odd_coords == ()
 
 
 def _texts(m):

@@ -3,7 +3,7 @@
 `tests/golden/` holds the text and JSON report of every call of the desk
 battery `superpi.cli.DESK`, plus two transition dumps (one G_Pi(2, 4) pair,
 and one P^10_Pi pair whose names take both forms of
-`builders.coordinate_name`) and two `dump atlas` outputs.  The test
+`builders.coordinate_name`) and three `dump atlas` outputs.  The test
 regenerates all of them in fresh interpreters under two PYTHONHASHSEED
 values and compares byte for byte, so a refactor that changes any
 representative, verdict or ordering shows up here.
@@ -35,6 +35,7 @@ DUMPS = (
     ("dump", "transitions", "--family", "pi-projective", "--n", "10", "--source", "U0", "--target", "U10"),
     ("dump", "atlas", "--family", "pi-projective", "--n", "3"),
     ("dump", "atlas", "--family", "grassmannian", "--d0", "1", "--d1", "1", "--vn", "2", "--vm", "2"),
+    ("dump", "atlas", "--family", "projective-superspace", "--n", "2", "--m", "3"),
 )
 CALLS = (*(("verify", *argv, *fmt) for argv in DESK for fmt in FORMATS), *DUMPS)
 
