@@ -33,7 +33,6 @@ from .rational import (
     Poly,
     RatFun,
     equal_by_key,
-    exact,
     rat_mat_inverse,
     solve_fraction_system,
     sum_by_key,
@@ -194,18 +193,16 @@ class CechCochain1:
         )
 
 
-def omega_representative(n: int, scale: Fraction | int = 1) -> CechCochain1:
+def omega_representative(n: int) -> CechCochain1:
     """The standard generator: on (i, j) the sum over k of
 
         (dz_ij ^ dz_kj / z_ij) (x) d/dz_kj
 
-    written on chart j.  scale multiplies every coefficient; it must be
-    exact, a float raises TypeError.
+    written on chart j.
     """
     if n < 2:
         raise ValueError("the obstruction cochain needs n >= 2")
     atlas = build_projective_superspace(n, 0)
-    scale = exact(scale)
     sections: dict[tuple[str, str], TensorSection] = {}
     for i, j in combinations(range(n + 1), 2):
         chart = atlas.chart(f"U{j}")
@@ -217,8 +214,7 @@ def omega_representative(n: int, scale: Fraction | int = 1) -> CechCochain1:
                 continue
             a, b = (i, k) if i < k else (k, i)
             sign = 1 if i < k else -1
-            coeff = z_ij.inverse().scale(scale * sign)
-            comp[(z[k], (z[a], z[b]))] = coeff
+            comp[(z[k], (z[a], z[b]))] = z_ij.inverse().scale(sign)
         sections[(f"U{i}", f"U{j}")] = TensorSection(chart, comp)
     return CechCochain1(atlas, sections)
 
@@ -257,16 +253,14 @@ def extract_obstruction(atlas: Atlas) -> CechCochain1:
         t = atlas.transition(j_name, i_name)
         rhs_by_pair: dict[tuple[str, str], dict[str, RatFun]] = {}
         for kappa in chart_i.even_coords:
-            image = t.images[kappa]
-            if image.max_degree() > 2:
-                for mon in image.components:
-                    if len(mon) not in (0, 2):
-                        raise ValueError(
-                            f"even image {kappa!r} has a degree-{len(mon)} correction; "
-                            "not a degree-2 correction atlas"
-                        )
-            for mon, coeff in image.degree_part(2).components.items():
-                rhs_by_pair.setdefault(mon, {})[kappa] = coeff
+            for mon, coeff in t.images[kappa].components.items():
+                if len(mon) == 2:
+                    rhs_by_pair.setdefault(mon, {})[kappa] = coeff
+                elif mon:
+                    raise ValueError(
+                        f"even image {kappa!r} has a degree-{len(mon)} correction; "
+                        "not a degree-2 correction atlas"
+                    )
         if not rhs_by_pair:
             sections[(i_name, j_name)] = TensorSection.zero(reduced_j)
             continue
@@ -582,12 +576,9 @@ def _clear_denominators(
 
     def scaled(value: RatFun) -> Poly:
         result = value.num
-        skipped = False
         for d in distinct:
-            if not skipped and d == value.den:
-                skipped = True
-                continue
-            result = result * d
+            if d != value.den:
+                result = result * d
         return result
 
     return [(col, scaled(value)) for col, value in terms], scaled(rhs)
@@ -603,80 +594,67 @@ def coboundary_solve(
     the later chart of each pair.  The assembled linear system over Q is
     solved exactly; free unknowns are fixed to zero.  A negative
     degree_bound raises ValueError, and so does a system of more than
-    MAX_DENSE_ENTRIES entries, before any dense row is built.
+    MAX_DENSE_ENTRIES entries, as soon as the rows of the chart pairs built
+    so far exceed it.
     """
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     atlas = cochain.atlas
     names = atlas.chart_names()
-    columns: list[tuple[str, str, tuple[str, str], tuple[int, ...]]] = []
-    col_index: dict[tuple[str, str, tuple[str, str], tuple[int, ...]], int] = {}
+    column: dict[tuple[str, SectionKey, tuple[int, ...]], int] = {}
     per_chart_keys: dict[str, list[SectionKey]] = {}
     monomials: dict[str, list[tuple[int, ...]]] = {}
     for name in names:
         evens = atlas.chart(name).even_coords
-        keys = [(k, (a, b)) for k in evens for a, b in combinations(evens, 2)]
-        per_chart_keys[name] = keys
+        per_chart_keys[name] = [(k, (a, b)) for k in evens for a, b in combinations(evens, 2)]
         monomials[name] = _monomials_up_to(len(evens), degree_bound)
-        for key in keys:
+        for key in per_chart_keys[name]:
             for mono in monomials[name]:
-                full = (name, key[0], key[1], mono)
-                col_index[full] = len(columns)
-                columns.append(full)
+                column[(name, key, mono)] = len(column)
 
-    zero = Fraction(0)
     rows: list[dict[int, Fraction]] = []
     rhs_values: list[Fraction] = []
     for i_name, j_name in combinations(names, 2):
         chart_i = atlas.chart(i_name)
-        chart_j = atlas.chart(j_name)
-        t = atlas.transition(j_name, i_name)
+        evens_j = atlas.chart(j_name).even_coords
         one = RatFun.one(chart_i.even_coords)
-        body = BodyPullback(t)
-        unit_pullbacks = {
-            key: pullback_tensor(TensorSection(chart_i, {key: one}), body)
-            for key in per_chart_keys[i_name]
-        }
+        body = BodyPullback(atlas.transition(j_name, i_name))
         mono_images = {
             mono: body(RatFun.from_poly(Poly(chart_i.even_coords, {mono: 1})))
             for mono in monomials[i_name]
         }
+        terms = {out_key: [] for out_key in per_chart_keys[j_name]}
+        for key in per_chart_keys[i_name]:
+            unit = pullback_tensor(TensorSection(chart_i, {key: one}), body)
+            for out_key, base in unit.components.items():
+                terms[out_key].extend(
+                    (column[(i_name, key, mono)], base * image)
+                    for mono, image in mono_images.items()
+                )
         target = cochain.section(i_name, j_name)
-        for out_key in per_chart_keys[j_name]:
-            terms: list[tuple[int, RatFun]] = []
-            for key in per_chart_keys[i_name]:
-                base = unit_pullbacks[key].components.get(out_key)
-                if base is None:
-                    continue
-                for mono, mono_img in mono_images.items():
-                    value = base * mono_img
-                    if not value.is_zero:
-                        terms.append((col_index[(i_name, key[0], key[1], mono)], value))
+        for out_key, equation in terms.items():
             for mono in monomials[j_name]:
-                mono_rf = RatFun.from_poly(Poly(chart_j.even_coords, {mono: Fraction(1)}))
-                terms.append((col_index[(j_name, out_key[0], out_key[1], mono)], -mono_rf))
-            rhs_rf = target.components.get(out_key, RatFun.zero(chart_j.even_coords))
-            poly_terms, rhs_poly = _clear_denominators(terms, rhs_rf)
-            monos = set(rhs_poly.terms)
-            for _, p in poly_terms:
-                monos.update(p.terms)
-            for mono in sorted(monos):
-                row: dict[int, Fraction] = {}
-                for col, p in poly_terms:
-                    coeff = p.terms.get(mono)
-                    if coeff:
-                        row[col] = row.get(col, zero) + coeff
-                rows.append(row)
+                monomial = RatFun.from_poly(Poly(evens_j, {mono: 1}))
+                equation.append((column[(j_name, out_key, mono)], -monomial))
+            rhs_rf = target.components.get(out_key, RatFun.zero(evens_j))
+            poly_terms, rhs_poly = _clear_denominators(equation, rhs_rf)
+            by_mono = {mono: {} for mono in rhs_poly.terms}
+            for col, p in poly_terms:
+                for mono, coeff in p.terms.items():
+                    by_mono.setdefault(mono, {})[col] = coeff
+            for mono in sorted(by_mono):
+                rows.append(by_mono[mono])
                 rhs_values.append(rhs_poly.terms.get(mono, Fraction(0)))
+        if len(rows) * len(column) > MAX_DENSE_ENTRIES:
+            raise ValueError(
+                f"coboundary system of at least {len(rows)} x {len(column)} exceeds "
+                f"{MAX_DENSE_ENTRIES} entries; lower the degree bound or n"
+            )
 
-    if len(rows) * len(columns) > MAX_DENSE_ENTRIES:
-        raise ValueError(
-            f"coboundary system of {len(rows)} x {len(columns)} exceeds "
-            f"{MAX_DENSE_ENTRIES} entries; lower the degree bound or n"
-        )
+    zero = Fraction(0)
     dense = []
     for row in rows:
-        entries = [zero] * len(columns)
+        entries = [zero] * len(column)
         for col, value in row.items():
             entries[col] = value
         dense.append(entries)
@@ -690,7 +668,7 @@ def coboundary_solve(
         for key in per_chart_keys[name]:
             poly_terms = {}
             for mono in monomials[name]:
-                value = solution[col_index[(name, key[0], key[1], mono)]]
+                value = solution[column[(name, key, mono)]]
                 if value:
                     poly_terms[mono] = value
             if poly_terms:

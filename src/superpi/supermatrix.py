@@ -27,8 +27,6 @@ from typing import Sequence
 from .rational import Field, gauss_jordan, nonzero, solve_square
 from .superalgebra import Chart, SuperFunction
 
-Grid = tuple[tuple[SuperFunction, ...], ...]
-
 # Even superfunctions pivot on an invertible body; methods are looked up per call.
 EVEN_FUNCTIONS: Field = (nonzero, lambda f: not f.body().is_zero, lambda f: f.invert())
 

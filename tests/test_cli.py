@@ -122,7 +122,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "coboundary system of 135 x 60 exceeds 100 entries" in captured.err
+        assert "coboundary system of at least 45 x 60 exceeds 100 entries" in captured.err
 
     def test_pi_projective_past_nine(self, capsys):
         code = main(["verify", "pi-projective", "--n", "10"])

@@ -144,11 +144,11 @@ class TestOmegaRepresentative:
         assert len(section.components) == 2
 
     def test_scale_zero_gives_zero(self):
-        assert omega_representative(2, scale=0).is_zero()
+        assert omega_representative(2).scale(0).is_zero()
 
     def test_float_scale_rejected(self):
         with pytest.raises(TypeError, match="inexact"):
-            omega_representative(2, 0.1)
+            omega_representative(2).scale(0.1)
 
     def test_cocycle_condition(self):
         assert check_cech_cocycle(omega_representative(2)).all_passed
@@ -312,6 +312,35 @@ class TestCoboundary:
         )
         with pytest.raises(ValueError, match="135 x 60"):
             coboundary_solve(omega_representative(2), 3)
+
+    def test_oversized_system_refused_after_the_first_pair(self, monkeypatch):
+        omega = omega_representative(2)
+        inversions = []
+        real = cohomology.rat_mat_inverse
+        monkeypatch.setattr(cohomology, "MAX_DENSE_ENTRIES", 100)
+        monkeypatch.setattr(
+            cohomology, "rat_mat_inverse", lambda m: inversions.append(1) or real(m)
+        )
+        with pytest.raises(ValueError, match="^coboundary system of at least 45 x 60 "):
+            coboundary_solve(omega, 3)
+        assert len(inversions) == 1
+
+    @pytest.mark.parametrize(
+        "n, shape, nonzeros, rhs_rows", [(2, (135, 60), 150, 3), (3, (2934, 720), 4080, 12)]
+    )
+    def test_assembled_system_is_pinned(self, monkeypatch, n, shape, nonzeros, rhs_rows):
+        systems = []
+        monkeypatch.setattr(
+            cohomology, "solve_fraction_system", lambda rows, rhs: systems.append((rows, rhs))
+        )
+        assert coboundary_solve(omega_representative(n), 3) is None
+        (rows, rhs), = systems
+        assert (len(rows), len(rows[0])) == shape
+        assert all(len(row) == shape[1] for row in rows)
+        assert sum(1 for row in rows for value in row if value) == nonzeros
+        certificates = [row for row, value in zip(rows, rhs) if value]
+        assert len(certificates) == rhs_rows
+        assert not any(any(row) for row in certificates)
 
     def test_system_at_the_bound_is_solved(self, monkeypatch):
         monkeypatch.setattr(cohomology, "MAX_DENSE_ENTRIES", 135 * 60)
