@@ -7,7 +7,6 @@ parity-shifted cotangent sheaf of the reduced Grassmannian.
 """
 
 from superpi.builders import derive_transition_from_cells, pi_grassmannian_cells
-from superpi.cohomology import odd_degree_decompose
 
 
 def main() -> None:
@@ -23,9 +22,10 @@ def main() -> None:
         print(f"  {name}|red = {t12.images[name].degree_part(0).to_str()}")
 
     print("\nodd-degree layers of the fermionic transitions:")
-    for name, layers in odd_degree_decompose(t12).items():
-        for degree, part in sorted(layers.items()):
-            print(f"  {name}[deg {degree}] = {part.to_str()}")
+    for name in t12.target.odd_coords:
+        image = t12.images[name]
+        for degree in sorted(image.degrees()):
+            print(f"  {name}[deg {degree}] = {image.degree_part(degree).to_str()}")
 
     cubic = t12.images["th22"].degree_part(3)
     print(f"\ncubic correction in th22: {cubic.to_str()}")

@@ -32,7 +32,6 @@ from .cohomology import (
     coboundary_refute,
     extract_obstruction,
     lifting_verify,
-    odd_degree_decompose,
     omega_representative,
     pullback_tensor,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "even_det",
     "extract_obstruction",
     "lifting_verify",
-    "odd_degree_decompose",
     "omega_representative",
     "parse_superfunction",
     "pullback_tensor",

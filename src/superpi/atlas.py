@@ -344,41 +344,20 @@ def check_berezinian_trivial(atlas: Atlas, cocycle: VerificationReport) -> Verif
     return report
 
 
-@dataclass
-class AtlasClassification:
-    projected_evidence: bool
-    split_evidence: bool
-    even_corrections: dict[tuple[str, str, str], list[int]]
-    odd_corrections: dict[tuple[str, str, str], list[int]]
+def correction_degrees(atlas: Atlas) -> tuple[set[int], set[int]]:
+    """The census (even, odd) of nilpotent correction degrees of the atlas.
 
-
-def atlas_classification(atlas: Atlas) -> AtlasClassification:
-    """Collect the degreewise evidence for projectedness and splitness.
-
-    Projected evidence: every even image is its own degree-0 part.  Split
-    evidence: every odd image is purely of odd degree 1.  The correction
-    tables list, per (source, target, coordinate), the degrees > (0 resp. 1)
-    carrying nonzero parts.
+    Over every stored transition (identities add nothing), `even` is the
+    set of degrees > 0 of the even images and `odd` the set of degrees
+    other than 1 of the odd images.  The atlas is projected when `even` is
+    empty and split when both are empty.
     """
-    even_corr: dict[tuple[str, str, str], list[int]] = {}
-    odd_corr: dict[tuple[str, str, str], list[int]] = {}
+    even: set[int] = set()
+    odd: set[int] = set()
     for i, j in atlas.pairs():
         t = atlas.transition(i, j)
         for name in t.target.even_coords:
-            degrees = sorted(
-                {len(m) for m in t.images[name].components if len(m) > 0}
-            )
-            if degrees:
-                even_corr[(i, j, name)] = degrees
+            even |= t.images[name].degrees()
         for name in t.target.odd_coords:
-            degrees = sorted(
-                {len(m) for m in t.images[name].components if len(m) != 1}
-            )
-            if degrees:
-                odd_corr[(i, j, name)] = degrees
-    return AtlasClassification(
-        projected_evidence=not even_corr,
-        split_evidence=not even_corr and not odd_corr,
-        even_corrections=even_corr,
-        odd_corrections=odd_corr,
-    )
+            odd |= t.images[name].degrees()
+    return even - {0}, odd - {1}

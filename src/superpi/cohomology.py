@@ -701,22 +701,3 @@ def coboundary_refute(cochain: CechCochain1, degree_bound: int) -> VerificationR
         )
     return report
 
-
-def odd_degree_decompose(t: TransitionMap) -> dict[str, dict[int, SuperFunction]]:
-    """Odd-degree layers of every odd transition image.
-
-    Maps each odd target coordinate to {degree: part} over the odd degrees
-    1, 3, 5, ... that actually occur; degree-1 layers are the candidate
-    transitions of the leading odd sheaf.
-    """
-    out: dict[str, dict[int, SuperFunction]] = {}
-    q = len(t.source.odd_coords)
-    for name in t.target.odd_coords:
-        image = t.images[name]
-        layers: dict[int, SuperFunction] = {}
-        for degree in range(1, q + 1, 2):
-            part = image.degree_part(degree)
-            if not part.is_zero:
-                layers[degree] = part
-        out[name] = layers
-    return out

@@ -37,9 +37,10 @@ instead of dividing again, and a repeated pair costs one lookup.
 
 The normal form is computed once per value.  Arithmetic whose result is
 already normal returns it without normalising again: a zero operand of
-+ or - gives back the other operand (negated for 0 - x), and negation
-flips the sign of num only, which keeps every rule above.  This relies
-on the normalisation being idempotent and commuting with negation.
++ or - gives back the other operand (negated for 0 - x), negation flips
+the sign of num only, and an inverse swaps num and den (negating both if
+den then leads negative); each keeps every rule above.  This relies on
+the normalisation being idempotent and commuting with negation.
 
 A monomial fraction, one term over one term such as z_k/z_j or 1/z_j^2,
 needs no normalisation pass at all.  Its normal form depends only on the
@@ -579,20 +580,7 @@ class RatFun:
         return RatFun(num_a * num_b, den_a * den_b)
 
     def __truediv__(self, other: RatFun) -> RatFun:
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        a = self._as_monomial()
-        b = None if a is None else other._as_monomial()
-        if b is not None:
-            self.num._require_same_variables(other.num)
-            (pa, qa, ea, fa), (pb, qb, eb, fb) = a, b
-            exps = map(sub, map(add, ea, fb), map(add, fa, eb))
-            return _monomial(self.num.variables, pa * qb, qa * pb, tuple(exps))
-        num_a, den_a = self.num, self.den
-        num_b, den_b = other.num, other.den
-        num_a, num_b = _cross_cancel(num_a, num_b)
-        den_b, den_a = _cross_cancel(den_b, den_a)
-        return RatFun(num_a * den_b, den_a * num_b)
+        return self * other.inverse()
 
     def scale(self, value) -> RatFun:
         a = self._as_monomial()
@@ -610,7 +598,9 @@ class RatFun:
         if a is not None:
             p, q, num_exps, den_exps = a
             return _monomial(self.num.variables, q, p, tuple(map(sub, den_exps, num_exps)))
-        return RatFun(self.den, self.num)
+        if self.num.leading()[1] < 0:
+            return RatFun._raw(-self.den, -self.num)
+        return RatFun._raw(self.den, self.num)
 
     def __pow__(self, power: int) -> RatFun:
         if power < 0:

@@ -11,10 +11,10 @@ from __future__ import annotations
 from math import comb
 
 from .atlas import (
-    atlas_classification,
     atlas_mismatch,
     check_berezinian_trivial,
     check_cocycle,
+    correction_degrees,
 )
 from .builders import (
     build_pi_grassmannian,
@@ -73,11 +73,11 @@ def suite_pi_projective(n: int) -> VerificationReport:
         "derivation/cells-match-closed", atlas_mismatch(build_pi_grassmannian(1, n + 1), atlas)
     )
 
-    summary = atlas_classification(atlas)
+    even, odd = correction_degrees(atlas)
     if n == 1:
         report.add_bool(
             "classification/split",
-            summary.split_evidence,
+            not even and not odd,
             "expected a split atlas at n=1",
         )
         extracted = extract_obstruction(atlas)
@@ -87,11 +87,10 @@ def suite_pi_projective(n: int) -> VerificationReport:
             "nonzero obstruction cochain on a split atlas",
         )
     else:
-        degrees = {d for ds in summary.even_corrections.values() for d in ds}
         report.add_bool(
             "classification/nonprojected-evidence",
-            not summary.projected_evidence and degrees == {2},
-            f"even correction degrees {sorted(degrees)}",
+            even == {2},
+            f"even correction degrees {sorted(even)}",
         )
         extracted = extract_obstruction(atlas)
         lam = cochain_multiple(extracted, omega_representative(n))
@@ -105,15 +104,15 @@ def suite_projective_superspace(n: int, m: int) -> VerificationReport:
     atlas = build_projective_superspace(n, m)
     cocycle = check_cocycle(atlas)
     report.merge(cocycle, prefix="cocycle/")
-    summary = atlas_classification(atlas)
+    even, odd = correction_degrees(atlas)
     report.add_bool(
         "classification/projected",
-        summary.projected_evidence,
+        not even,
         "unexpected nilpotent corrections in even transitions",
     )
     report.add_bool(
         "classification/split",
-        summary.split_evidence,
+        not even and not odd,
         "odd transitions are not purely linear",
     )
     verdict = check_berezinian_trivial(atlas, cocycle).find("verdict")

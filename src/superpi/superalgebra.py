@@ -204,8 +204,9 @@ class SuperFunction:
             {m: c for m, c in self.components.items() if len(m) == degree},
         )
 
-    def max_degree(self) -> int:
-        return max((len(m) for m in self.components), default=0)
+    def degrees(self) -> set[int]:
+        """Lengths of the odd monomials that carry a component."""
+        return {len(m) for m in self.components}
 
     def is_constant(self) -> Optional[int | Fraction]:
         """The exact value (int when integral) if this is a constant, else None."""

@@ -82,21 +82,6 @@ class SuperMatrix:
         r, _ = self.col_shape
         return [list(row[:r]) for row in self.entries[:p]]
 
-    def block_b(self) -> list[list[SuperFunction]]:
-        p, _ = self.row_shape
-        r, _ = self.col_shape
-        return [list(row[r:]) for row in self.entries[:p]]
-
-    def block_c(self) -> list[list[SuperFunction]]:
-        p, _ = self.row_shape
-        r, _ = self.col_shape
-        return [list(row[:r]) for row in self.entries[p:]]
-
-    def block_d(self) -> list[list[SuperFunction]]:
-        p, _ = self.row_shape
-        r, _ = self.col_shape
-        return [list(row[r:]) for row in self.entries[p:]]
-
     def is_square(self) -> bool:
         return self.row_shape == self.col_shape
 

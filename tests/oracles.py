@@ -165,6 +165,18 @@ def even_inverse(rows):
     return inverse
 
 
+def blocks(m: SuperMatrix) -> tuple[list[list[SuperFunction]], ...]:
+    """The blocks (A, B, C, D) of m, cut after its even rows and columns."""
+    p, r = m.row_shape[0], m.col_shape[0]
+    top, bottom = m.entries[:p], m.entries[p:]
+    return (
+        [list(row[:r]) for row in top],
+        [list(row[r:]) for row in top],
+        [list(row[:r]) for row in bottom],
+        [list(row[r:]) for row in bottom],
+    )
+
+
 def schur_inverse(m: SuperMatrix) -> SuperMatrix:
     """The block formula for the inverse of a (p|q) supermatrix with p, q > 0.
 
@@ -174,7 +186,7 @@ def schur_inverse(m: SuperMatrix) -> SuperMatrix:
     adjugates, so no step shares smat_inverse's elimination.
     """
     chart = m.chart
-    a, b, c, d = m.block_a(), m.block_b(), m.block_c(), m.block_d()
+    a, b, c, d = blocks(m)
     a_inv = even_inverse(a)
     c_a_inv = grid_mul(c, a_inv, chart)
     bottom_right = even_inverse(grid_sub(d, grid_mul(c_a_inv, b, chart)))

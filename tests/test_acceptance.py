@@ -43,7 +43,7 @@ from conftest import (
     random_superfunction,
     random_transition,
 )
-from oracles import coboundary_of, grid_sub, jacobian_chain_product, map_entries, pull_back
+from oracles import blocks, coboundary_of, grid_sub, jacobian_chain_product, map_entries, pull_back
 
 
 def record(name: str, ok: bool, detail: str = ""):
@@ -129,10 +129,8 @@ def test_criterion_3_jacobian_blocks():
         det_a = even_det(jac.block_a())
         ok = ok and det_a.equals(e(f"(-1)/(z10^{n + 1})"))
         a_inv = smat_inverse(SuperMatrix(chart, (n, 0), (n, 0), jac.block_a())).entries
-        schur = grid_sub(
-            jac.block_d(),
-            grid_mul(grid_mul(jac.block_c(), a_inv, chart), jac.block_b(), chart),
-        )
+        _, b, c, d = blocks(jac)
+        schur = grid_sub(d, grid_mul(grid_mul(c, a_inv, chart), b, chart))
         det_schur_inv = even_det(schur).invert()
         ok = ok and det_schur_inv.equals(e(f"(-z10^{n + 1})"))
         # the Schur complement itself: lower triangular with the theta-theta

@@ -10,11 +10,11 @@ import superpi.atlas as atlas_module
 from superpi.atlas import (
     Atlas,
     TransitionMap,
-    atlas_classification,
     atlas_mismatch,
     check_berezinian_trivial,
     check_cocycle,
     compose,
+    correction_degrees,
     identity_transition,
     super_jacobian,
     transition_mismatch,
@@ -483,20 +483,11 @@ class TestBerezinianChainRule:
 
 class TestClassification:
     def test_split_model(self):
-        summary = atlas_classification(build_projective_superspace(2, 3))
-        assert summary.projected_evidence
-        assert summary.split_evidence
-        assert not summary.even_corrections
+        assert correction_degrees(build_projective_superspace(2, 3)) == (set(), set())
 
-    def test_pi_plane_has_degree_two_corrections(self):
-        summary = atlas_classification(build_pi_projective_closed(2))
-        assert not summary.projected_evidence
-        degrees = {d for ds in summary.even_corrections.values() for d in ds}
-        assert degrees == {2}
-        # the odd transitions stay linear
-        assert not summary.odd_corrections
-
-    def test_pi_line_is_split(self):
-        summary = atlas_classification(build_pi_projective_closed(1))
-        assert summary.projected_evidence
-        assert summary.split_evidence
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_pi_projective_census(self, n):
+        # P^1_Pi is split; from n = 2 on the even images carry degree-2
+        # corrections only and the odd transitions stay linear.
+        even = set() if n == 1 else {2}
+        assert correction_degrees(build_pi_projective_closed(n)) == (even, set())

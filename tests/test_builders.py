@@ -7,7 +7,13 @@ from math import comb
 import pytest
 
 from superpi import builders
-from superpi.atlas import atlas_mismatch, check_cocycle, identity_transition, transition_mismatch
+from superpi.atlas import (
+    atlas_mismatch,
+    check_cocycle,
+    correction_degrees,
+    identity_transition,
+    transition_mismatch,
+)
 from superpi.builders import (
     CellOverlapError,
     build_pi_grassmannian,
@@ -339,6 +345,8 @@ class TestPiGrassmannian24:
     def test_chart_count(self):
         atlas = build_pi_grassmannian(2, 4)
         assert len(atlas.charts) == 6
+        # the cubic odd term is the only correction past degree 2
+        assert correction_degrees(atlas) == ({2}, {3})
 
     def test_unsupported_shapes_rejected(self):
         with pytest.raises(ValueError, match="unsupported"):
@@ -355,6 +363,8 @@ class TestPiGrassmannian24:
         assert atlas.chart("U9").odd_coords == ("th19", "th29", "th39", "xi19", "xi29", "xi39")
         assert len(witnesses) == 90
         assert all(witness == "" for witness in witnesses.values())
+        # a degree-4 even correction appears, which G_Pi(2, 4) does not show
+        assert correction_degrees(atlas) == ({2, 4}, {3})
 
     def test_non_overlapping_guard(self):
         # a degenerate template whose selected columns are not invertible

@@ -24,7 +24,6 @@ from superpi.cohomology import (
     extract_obstruction,
     lifted_obstruction_section,
     lifting_verify,
-    odd_degree_decompose,
     omega_representative,
     pullback_tensor,
     rewrite_frames,
@@ -503,20 +502,3 @@ def reference_cochain_multiple(c1, c2):
         return Fraction(0) if c1.is_zero() else None
     return lam if c1.equals(c2.scale(lam)) else None
 
-
-class TestOddDegreeDecompose:
-    def test_pi_space_transitions_are_linear(self):
-        atlas = build_pi_projective_closed(3)
-        layers = odd_degree_decompose(atlas.transition("U0", "U1"))
-        for name, parts in layers.items():
-            assert set(parts) == {1}
-
-    def test_decomposition_sums_back(self):
-        atlas = build_pi_projective_closed(2)
-        t = atlas.transition("U0", "U2")
-        layers = odd_degree_decompose(t)
-        for name, parts in layers.items():
-            total = parse_superfunction("(0)", t.source)
-            for part in parts.values():
-                total = total + part
-            assert total.equals(t.images[name])

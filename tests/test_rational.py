@@ -11,6 +11,7 @@ import superpi.rational as rational
 from superpi.rational import (
     Poly,
     RatFun,
+    _cross_cancel,
     _normalize_pair,
     poly_exact_div,
     poly_gcd,
@@ -448,6 +449,25 @@ class TestNormalForm:
             assert _normalize_pair(-num, den) == (-num, den)
         # The planted factors are multi-term, so the gcd step really runs.
         assert len(gcd_calls) >= 300
+
+    def test_inverse_and_quotient_match_the_old_routes(self):
+        # The old inverse normalised the swapped pair; the old quotient
+        # cross-cancelled numerators and denominators before multiplying.
+        values = [RatFun(n, d) for n, d in planted_pairs(8, 60)]
+        values = [f for f in values if f._as_monomial() is None]
+        for f in values:
+            old, new = RatFun(f.den, f.num), f.inverse()
+            assert (new.num.terms, new.den.terms) == (old.num.terms, old.den.terms)
+        # Both signs of the swapped denominator's lead occur.
+        assert {f.num.leading()[1] > 0 for f in values} == {True, False}
+        rng = random.Random(9)
+        pairs = [tuple(rng.sample(values, 2)) for _ in range(40)]
+        pairs += [(a * b, a) for a, b in pairs[:20]] + [(a, b * a) for a, b in pairs[20:]]
+        for a, b in pairs:
+            num_a, num_b = _cross_cancel(a.num, b.num)
+            den_b, den_a = _cross_cancel(b.den, a.den)
+            old, new = RatFun(num_a * den_b, den_a * num_b), a / b
+            assert (new.num.terms, new.den.terms) == (old.num.terms, old.den.terms)
 
     def test_zero_operand_and_negation_match_the_constructor(self):
         rng = random.Random(11)

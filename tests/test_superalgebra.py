@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from superpi.builders import (
     build_pi_grassmannian,
+    build_pi_projective_closed,
     derive_transition_from_cells,
     pi_grassmannian_cells,
 )
@@ -312,6 +313,19 @@ class TestDegreePart:
         assert f.degree_part(0).equals(sf("(z20)/(z10)"))
         assert f.degree_part(2).equals(sf("(1)/(z10^2)*[th10*th20]"))
         assert f.degree_part(1).is_zero
+        assert f.degrees() == {0, 2}
+        assert SuperFunction.zero(U0).degrees() == set()
+
+    def test_pi_space_odd_images_are_linear(self):
+        t = build_pi_projective_closed(3).transition("U0", "U1")
+        for name in t.target.odd_coords:
+            assert t.images[name].degrees() == {1}
+
+    def test_parts_sum_back(self):
+        t = build_pi_projective_closed(2).transition("U0", "U2")
+        for name, image in t.images.items():
+            parts = [image.degree_part(d) for d in image.degrees()]
+            assert SuperFunction.sum(t.source, parts).equals(image), name
 
 
 class TestSubstitute:

@@ -17,7 +17,7 @@ from superpi.supermatrix import (
 )
 
 from conftest import random_invertible_supermatrix, random_superfunction
-from oracles import grid_sub, schur_inverse
+from oracles import blocks, grid_sub, schur_inverse
 
 CH = Chart("M", ("z", "w"), ("s", "t"))
 
@@ -51,8 +51,8 @@ def berezinian_alt(m):
     if q == 0:
         return even_det(m.block_a())
     if p == 0:
-        return even_det(m.block_d()).invert()
-    a, b, c, d = m.block_a(), m.block_b(), m.block_c(), m.block_d()
+        return even_det(blocks(m)[3]).invert()
+    a, b, c, d = blocks(m)
     d_inv = smat_inverse(SuperMatrix(m.chart, (q, 0), (q, 0), d)).entries
     schur = grid_sub(a, grid_mul(grid_mul(b, d_inv, m.chart), c, m.chart))
     return even_det(schur) * even_det(d).invert()
@@ -181,7 +181,8 @@ class TestInverse:
         rng = random.Random(4)
         m = random_invertible_supermatrix(rng, CH, 2, 1)
         inv = smat_inverse(m)
-        for row in inv.block_b() + inv.block_c():
+        _, b, c, _ = blocks(inv)
+        for row in b + c:
             for entry in row:
                 assert entry.is_zero or entry.parity == "odd"
 
@@ -223,7 +224,8 @@ class TestEvenDet:
 
     def test_pi_space_jacobian_blocks_against_oracle(self):
         jac = super_jacobian(build_pi_projective_closed(5).transition("U1", "U0"))
-        for block in (jac.block_a(), jac.block_d()):
+        a, _, _, d = blocks(jac)
+        for block in (a, d):
             for n in (4, 5):
                 rows = [row[:n] for row in block[:n]]
                 assert even_det(rows).equals(cofactor_det(rows))
