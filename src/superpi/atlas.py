@@ -24,10 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Sequence
 
 from .report import PASS, UNDETERMINED, VerificationReport, mismatch
-from .superalgebra import Chart, Pullback, SuperFunction, check_image
+from .superalgebra import Chart, Pullback, Renaming, SuperFunction, check_image
 from .supermatrix import SuperMatrix, berezinian
+
+# A candidate symmetry of an atlas: each chart name maps to the name of its
+# image chart and to the renaming of its coordinates onto that chart's.
+Symmetry = dict[str, tuple[str, dict[str, str]]]
 
 
 @dataclass(frozen=True)
@@ -92,9 +97,19 @@ def transition_mismatch(a: TransitionMap, b: TransitionMap) -> str:
 
 
 class Atlas:
-    """Charts plus one transition per ordered chart pair."""
+    """Charts plus one transition per ordered chart pair.
 
-    def __init__(self, charts: list[Chart], transitions: dict[tuple[str, str], TransitionMap]):
+    symmetries holds the generators of a group of candidate symmetries, as
+    the builder that knows them supplies them; check_equivariant decides
+    whether they are symmetries, and nothing else trusts them.
+    """
+
+    def __init__(
+        self,
+        charts: list[Chart],
+        transitions: dict[tuple[str, str], TransitionMap],
+        symmetries: Sequence[Symmetry] = (),
+    ):
         names = [c.name for c in charts]
         if len(set(names)) != len(names):
             raise ValueError("duplicate chart names in atlas")
@@ -112,6 +127,7 @@ class Atlas:
                 raise ValueError(f"transition ({j}, {i}) missing for stored ({i}, {j})")
         self.charts = list(charts)
         self.transitions = dict(transitions)
+        self.symmetries = tuple(symmetries)
 
     def chart(self, name: str) -> Chart:
         for c in self.charts:
@@ -148,6 +164,39 @@ def atlas_mismatch(a: Atlas, b: Atlas) -> str:
     return ""
 
 
+def check_equivariant(atlas: Atlas, symmetries: Sequence[Symmetry]) -> str:
+    """The empty string when every candidate in symmetries is a symmetry of
+    atlas, else the witness of the first failure.
+
+    A candidate s must permute the charts and rename the coordinates of each
+    chart I onto those of s(I) with parities kept (a Renaming R_I).  It is a
+    symmetry when T_{s(I)s(J)} maps R_J(y) to R_I(T_IJ(y)) for every ordered
+    pair (I, J) and every coordinate y of J, compared exactly.  The witness
+    names the candidate by its position, then the pair and the coordinate y
+    with the difference renamed image - stored image.
+    """
+    names = sorted(atlas.chart_names())
+    for number, symmetry in enumerate(symmetries):
+        if sorted(symmetry) != names or sorted(image for image, _ in symmetry.values()) != names:
+            return f"symmetry {number} does not permute the charts"
+        try:
+            renamings = {
+                i: Renaming(atlas.chart(i), atlas.chart(image), coords)
+                for i, (image, coords) in symmetry.items()
+            }
+        except ValueError as error:
+            return f"symmetry {number}: {error}"
+        for i, j in atlas.pairs():
+            t = atlas.transition(i, j)
+            image_j, coords_j = symmetry[j]
+            moved = atlas.transition(symmetry[i][0], image_j)
+            for name in t.target.coords:
+                witness = mismatch(renamings[i](t.images[name]), moved.images[coords_j[name]])
+                if witness:
+                    return f"symmetry {number}, pair {i}->{j}, coordinate {name}: {witness}"
+    return ""
+
+
 def check_cocycle(atlas: Atlas) -> VerificationReport:
     """Round-trip and triple-overlap consistency of every transition.
 
@@ -156,14 +205,20 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
     charts, the increasing and decreasing ones otherwise.  The report
     lists the checks in that order.
 
-    Only the primary checks are composed at first: the round trip
+    When every chart has the same dimension (n|m), only some checks are
+    composed at first, and when they all pass every other check passes by
+    the lemma below; its witness is "", which is what composing it would
+    print.  If the atlas carries symmetries that move a chart and
+    check_equivariant accepts them, the checks composed are the first
+    check, in report order, of each orbit of chart pairs and of chart
+    triples under the group they generate (part 5).  Otherwise, or when
+    one of those fails, they are the primary checks: the round trip
     i->j->i for the first ordering of each unordered pair, and the
     increasing ordering (0, j, k) of each triple through the first chart
-    U0.  When they all pass and every chart has the same dimension (n|m),
-    every other check passes by the lemma below, and its witness is "",
-    which is what composing it would print.
-    Otherwise the other checks are composed too, so a failing atlas gets
-    the same report and witnesses as when every check is composed.
+    U0 (part 4).  When a primary check fails or dimensions differ, every
+    other check is composed too.  Each check is composed at most once, so
+    a failing atlas gets the same report and witnesses as when every check
+    is composed.
 
     Lemma.  Write Phi_ij: A_j -> A_i for the pullback of T_ij, where
     A = Q(x) (x) Lambda[theta].  A check passes when its two sides agree
@@ -193,6 +248,20 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
          i < j, and for i > j by inverting Phi_ji; it holds with i or j
          equal to 0 too.  Hence Phi_ij Phi_jk = Phi_0i^-1 Phi_0k = Phi_ik
          for every triple, and part 2 gives its other orderings.
+      5. A symmetry carries every check along its orbit.  A symmetry s
+         gives ring isomorphisms R_i: A_i -> A_s(i), and check_equivariant
+         says Phi_s(i)s(j) R_j = R_i Phi_ij on the coordinates of j, hence
+         Phi_s(i)s(j) = R_i Phi_ij R_j^-1.  For a product s t, t applied
+         first, the renamings R^s_t(i) o R^t_i satisfy the same identity,
+         so it holds for every g in the group G that the symmetries
+         generate: G permutes finitely many charts, so every g is such a
+         product.  Conjugating by R turns
+         Phi_ij Phi_ji = id into Phi_gi,gj Phi_gj,gi = id and
+         Phi_ij Phi_jk = Phi_ik into the same identity at (gi, gj, gk).
+         So when the first check of an orbit of pairs passes, some ordering
+         of every pair in the orbit passes, and part 1 gives the other;
+         with every round trip passing, the same holds for triples with
+         part 2.
     """
     names = atlas.chart_names()
     position = {name: index for index, name in enumerate(names)}
@@ -211,17 +280,48 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
             (f"triple/{i},{j},{k}", (i, j), (j, k), (i, k), (i, j, k) == combo and i == names[0])
             for i, j, k in orderings
         ]
-    witnesses = _compose_checks(atlas, [check for check in checks if check[4]])
-    rest = [check for check in checks if not check[4]]
-    shapes = {(len(c.even_coords), len(c.odd_coords)) for c in atlas.charts}
-    if len(shapes) > 1 or any(witnesses.values()):
-        witnesses.update(_compose_checks(atlas, rest))
-    else:
-        witnesses.update((identifier, "") for identifier, *_ in rest)
+    equal = len({(len(c.even_coords), len(c.odd_coords)) for c in atlas.charts}) == 1
+    representatives = _orbit_representatives(atlas, checks) if equal else None
+    witnesses = {} if representatives is None else _compose_checks(atlas, representatives)
+    if representatives is None or any(witnesses.values()):
+        primaries = [check for check in checks if check[4] and check[0] not in witnesses]
+        witnesses.update(_compose_checks(atlas, primaries))
+        if not equal or any(witnesses.values()):
+            rest = [check for check in checks if check[0] not in witnesses]
+            witnesses.update(_compose_checks(atlas, rest))
     report = VerificationReport("cocycle")
     for identifier, *_ in checks:
-        report.add_witness(identifier, witnesses[identifier])
+        report.add_witness(identifier, witnesses.get(identifier, ""))
     return report
+
+
+def _orbit_representatives(atlas: Atlas, checks: list[tuple]) -> list[tuple] | None:
+    """The first check of each orbit of chart sets under the atlas's symmetries.
+
+    Only the symmetries that move a chart count, since the others leave
+    every orbit as it is.  None when there are none or check_equivariant
+    refuses them.
+    """
+    moving = [s for s in atlas.symmetries if any(i != image for i, (image, _) in s.items())]
+    if not moving or check_equivariant(atlas, moving):
+        return None
+    seen: set[frozenset[str]] = set()
+    firsts = []
+    for check in checks:
+        charts = frozenset(check[1] + check[2])
+        if charts in seen:
+            continue
+        firsts.append(check)
+        seen.add(charts)
+        orbit = [charts]
+        while orbit:
+            charts = orbit.pop()
+            for s in moving:
+                image = frozenset(s[i][0] for i in charts)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return firsts
 
 
 def _compose_checks(atlas: Atlas, checks: list[tuple]) -> dict[str, str]:

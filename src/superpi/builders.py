@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .atlas import Atlas, TransitionMap
+from .atlas import Atlas, Symmetry, TransitionMap
 from .rational import exact, gauss_jordan
 from .superalgebra import Chart, SuperFunction
 from .supermatrix import EVEN_FUNCTIONS, SuperMatrix, grid_mul
@@ -391,10 +391,54 @@ def grassmannian_cells(d0: int, d1: int, n: int, m: int) -> list[BigCell]:
     return cells
 
 
-def _atlas_from_cells(cells: list[BigCell]) -> tuple[Atlas, dict[tuple[str, str], str]]:
+def _symmetric_generators(n: int) -> list[tuple[int, ...]]:
+    """Generators of S_n as tuples of images: the transposition (0 1) and
+    the n-cycle c -> c+1, which coincide for n = 2; none for n < 2."""
+    if n < 2:
+        return []
+    swap = (1, 0, *range(2, n))
+    cycle = (*range(1, n), 0)
+    return [swap] if n == 2 else [swap, cycle]
+
+
+def _column_symmetry(cells: list[BigCell], sigma: tuple[int, ...]) -> Symmetry:
+    """The renaming by which the column permutation sigma moves the cells.
+
+    sigma permutes the n+m grid columns, even among even and odd among
+    odd.  Z_I with its columns permuted, c -> sigma(c), and its rows put
+    back in order has unit columns at sigma(I): it is Z_sigma(I) with the
+    coordinate at position (r, c) of Z_I standing at (r', sigma(c)), where
+    r' is the row of Z_sigma(I) whose unit column is sigma of the unit
+    column of row r.  Every template built here gives both positions the
+    same sign; check_equivariant decides whether the renaming is a
+    symmetry.
+    """
+    d0, _, n, _ = cells[0].shape
+    by_index = {(cell.index_even, cell.index_odd): cell for cell in cells}
+    symmetry: Symmetry = {}
+    for cell in cells:
+        index_even = tuple(sorted(sigma[c] for c in cell.index_even))
+        index_odd = tuple(sorted(sigma[n + c] - n for c in cell.index_odd))
+        image = by_index[(index_even, index_odd)]
+        rows = [index_even.index(sigma[c]) for c in cell.index_even]
+        rows += [d0 + index_odd.index(sigma[n + c] - n) for c in cell.index_odd]
+        names = {
+            name: image.layout[(rows[r], sigma[c])][0] for (r, c), (name, _) in cell.layout.items()
+        }
+        symmetry[cell.chart.name] = (image.chart.name, names)
+    return symmetry
+
+
+def _atlas_from_cells(
+    cells: list[BigCell], columns: list[tuple[int, ...]]
+) -> tuple[Atlas, dict[tuple[str, str], str]]:
     """Atlas with one transition per ordered pair of distinct cells, each
     derived once (Atlas adds the identities), and the read-off's
     disagreement for every pair keyed by (source, target), "" when none.
+
+    columns lists generators of a group of grid-column permutations that
+    permutes the cells; the atlas carries the symmetry of each
+    (_column_symmetry).
     """
     charts = [cell.chart for cell in cells]
     transitions: dict[tuple[str, str], TransitionMap] = {}
@@ -404,13 +448,20 @@ def _atlas_from_cells(cells: list[BigCell]) -> tuple[Atlas, dict[tuple[str, str]
             if zi is not zj:
                 pair = (zi.chart.name, zj.chart.name)
                 transitions[pair], disagreements[pair] = _read_off(zi, zj)
-    return Atlas(charts, transitions), disagreements
+    symmetries = [_column_symmetry(cells, sigma) for sigma in columns]
+    return Atlas(charts, transitions, symmetries), disagreements
 
 
 def build_super_grassmannian(d0: int, d1: int, n: int, m: int) -> Atlas:
     """Atlas of G(d0|d1; n|m) with transitions derived from the big cells
-    (their templates name each position once, so no read-off disagrees)."""
-    return _atlas_from_cells(grassmannian_cells(d0, d1, n, m))[0]
+    (their templates name each position once, so no read-off disagrees).
+
+    The atlas carries the symmetries of S_n x S_m permuting the even and
+    the odd columns.
+    """
+    columns = [sigma + tuple(range(n, n + m)) for sigma in _symmetric_generators(n)]
+    columns += [tuple(range(n)) + tuple(n + c for c in tau) for tau in _symmetric_generators(m)]
+    return _atlas_from_cells(grassmannian_cells(d0, d1, n, m), columns)[0]
 
 
 def pi_grassmannian_cells(k: int, big_n: int) -> list[BigCell]:
@@ -438,9 +489,11 @@ def derive_pi_grassmannian(
     The witness is the read-off's first disagreement (see _read_off), ""
     when the cell stayed Pi-symmetric.  A derived cell that lost
     Pi-symmetry is recorded, not raised; its transition takes each
-    coordinate from its first template position.
+    coordinate from its first template position.  The atlas carries the
+    symmetries of S_N permuting the columns c and N+c together.
     """
-    return _atlas_from_cells(pi_grassmannian_cells(k, big_n))
+    columns = [sigma + tuple(big_n + c for c in sigma) for sigma in _symmetric_generators(big_n)]
+    return _atlas_from_cells(pi_grassmannian_cells(k, big_n), columns)
 
 
 def build_pi_grassmannian(k: int, big_n: int) -> Atlas:

@@ -624,6 +624,26 @@ class RatFun:
         dd = self.den.derivative(name)
         return RatFun(dn * self.den - self.num * dd, self.den * self.den)
 
+    def renamed(self, variables: tuple[str, ...], order: Sequence[int]) -> RatFun:
+        """This function with variables[p] in place of self.variables[order[p]].
+
+        Scaling, the monomial strip and the gcd cancellation commute with a
+        renaming.  The positive lead of den does not, since the graded-lex
+        order reads the variables in order: num and den are negated together
+        when den's renamed lead is negative, and no gcd or product runs.
+        The probe that lets a gcd be skipped reads the order too; were it
+        ever to skip a real common factor, the result could keep a factor
+        that a fresh normalisation cancels, never a different value.
+        """
+
+        def moved(p: Poly) -> Poly:
+            return Poly._raw(variables, {tuple([e[k] for k in order]): c for e, c in p.terms.items()})
+
+        num, den = moved(self.num), moved(self.den)
+        if den.leading()[1] < 0:
+            num, den = -num, -den
+        return RatFun._raw(num, den)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFun):
             return NotImplemented
@@ -1017,17 +1037,28 @@ def _poly_gcd_uncached(a: Poly, b: Poly) -> Poly:
 # -- exact linear algebra ----------------------------------------------------
 
 
-# What elimination needs of its entries, as a triple: a nonzero test (which
-# entries must be cleared), a pivot test and the inverse of a pivot.
-Field = tuple[Callable[[Any], bool], Callable[[Any], bool], Callable[[Any], Any]]
+# What elimination needs of its entries, as a quadruple: a nonzero test
+# (which entries must be cleared), a pivot test, the inverse of a pivot, and
+# the one and zero of the ring a pivot lives in.
+Field = tuple[
+    Callable[[Any], bool],
+    Callable[[Any], bool],
+    Callable[[Any], Any],
+    Callable[[Any], tuple[Any, Any]],
+]
 
 
 def nonzero(value) -> bool:
     return not value.is_zero
 
 
-FRACTIONS: Field = (bool, bool, lambda value: Fraction(1, value))
-RATFUNS: Field = (nonzero, nonzero, lambda value: value.inverse())
+FRACTIONS: Field = (bool, bool, lambda value: Fraction(1, value), lambda value: (1, 0))
+RATFUNS: Field = (
+    nonzero,
+    nonzero,
+    lambda value: value.inverse(),
+    lambda value: (RatFun.one(value.variables), RatFun.zero(value.variables)),
+)
 
 
 def gauss_jordan(aug: list[list], n_cols: int, field: Field) -> list[int]:
@@ -1038,9 +1069,11 @@ def gauss_jordan(aug: list[list], n_cols: int, field: Field) -> list[int]:
     cleared top to bottom, skipping zeros.  Columns without a pivot are
     skipped, and the reduction stops when the rows run out.  Scaling and
     clearing touch only the columns where the pivot row is nonzero: every
-    other entry would change by a zero multiple.
+    other entry would change by a zero multiple.  The pivot column is not
+    computed: it becomes the field's one in the pivot row and its zero in
+    every row cleared.
     """
-    nonzero_test, pivotable, inverse = field
+    nonzero_test, pivotable, inverse, one_zero = field
     pivots: list[int] = []
     for col in range(n_cols):
         row = len(pivots)
@@ -1049,13 +1082,16 @@ def gauss_jordan(aug: list[list], n_cols: int, field: Field) -> list[int]:
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
         pivot_row = aug[row]
-        support = [c for c, entry in enumerate(pivot_row) if nonzero_test(entry)]
+        support = [c for c, entry in enumerate(pivot_row) if c != col and nonzero_test(entry)]
         inv = inverse(pivot_row[col])
+        one, zero = one_zero(pivot_row[col])
+        pivot_row[col] = one
         for c in support:
             pivot_row[c] = pivot_row[c] * inv
         for r, other in enumerate(aug):
             if r != row and nonzero_test(other[col]):
                 f = other[col]
+                other[col] = zero
                 for c in support:
                     other[c] = other[c] - f * pivot_row[c]
         pivots.append(col)

@@ -449,6 +449,52 @@ class Pullback:
         return SuperFunction.sum(self.target, terms)
 
 
+class Renaming:
+    """The ring isomorphism from the functions on source to those on target
+    that renames each coordinate x of source to the coordinate names[x].
+
+    names must send the even coordinates of source one-to-one onto those of
+    target and the odd ones onto the odd ones; ValueError otherwise.  A
+    coefficient moves its exponents to target's variable order
+    (RatFun.renamed), and an odd monomial is re-sorted in target's order
+    with the sign of the sort.  No product, gcd or Pullback runs.
+    """
+
+    def __init__(self, source: Chart, target: Chart, names: Mapping[str, str]):
+        if set(names) != set(source.coords) or any(
+            sorted(names[x] for x in mine) != sorted(theirs)
+            for mine, theirs in (
+                (source.even_coords, target.even_coords),
+                (source.odd_coords, target.odd_coords),
+            )
+        ):
+            raise ValueError(
+                f"the renaming of {source.name!r} onto {target.name!r} is not a "
+                "parity-preserving bijection of their coordinates"
+            )
+        back = {y: x for x, y in names.items()}
+        self.source = source
+        self.target = target
+        self._order = tuple(source.even_coords.index(back[y]) for y in target.even_coords)
+        self._odd_positions = {x: target.odd_position(names[x]) for x in source.odd_coords}
+
+    def __call__(self, f: SuperFunction) -> SuperFunction:
+        if f.chart is not self.source and f.chart != self.source:
+            raise ValueError(
+                f"renaming of chart {self.source.name!r} applied to a function "
+                f"on {f.chart.name!r}"
+            )
+        target = self.target
+        components: dict[OddMonomial, RatFun] = {}
+        for mon, coeff in f.components.items():
+            positions = [self._odd_positions[x] for x in mon]
+            inversions = sum(a > b for i, a in enumerate(positions) for b in positions[i + 1 :])
+            coeff = coeff.renamed(target.even_coords, self._order)
+            mon = tuple(target.odd_coords[k] for k in sorted(positions))
+            components[mon] = -coeff if inversions % 2 else coeff
+        return SuperFunction._raw(target, components)
+
+
 def substitute(
     f: SuperFunction, assignment: Mapping[str, SuperFunction]
 ) -> SuperFunction:

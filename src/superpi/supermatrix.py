@@ -28,7 +28,12 @@ from .rational import Field, gauss_jordan, nonzero, solve_square
 from .superalgebra import Chart, SuperFunction
 
 # Even superfunctions pivot on an invertible body; methods are looked up per call.
-EVEN_FUNCTIONS: Field = (nonzero, lambda f: not f.body().is_zero, lambda f: f.invert())
+EVEN_FUNCTIONS: Field = (
+    nonzero,
+    lambda f: not f.body().is_zero,
+    lambda f: f.invert(),
+    lambda f: (SuperFunction.one(f.chart), SuperFunction.zero(f.chart)),
+)
 
 
 class SuperMatrix:

@@ -7,6 +7,7 @@ from typing import Callable, Mapping
 
 from superpi.atlas import (
     Atlas,
+    Symmetry,
     TransitionMap,
     berezinian_class,
     compose,
@@ -72,6 +73,24 @@ def exhaustive_berezinian(atlas: Atlas) -> VerificationReport:
     else:
         report.add("verdict", UNDETERMINED, "undetermined")
     return report
+
+
+def renaming_maps(atlas: Atlas, symmetry: Symmetry, i: str) -> tuple[TransitionMap, TransitionMap]:
+    """The renaming of chart i by symmetry as a transition from i to its
+    image chart, and its inverse, so that composing runs through Pullback."""
+    image, names = symmetry[i]
+    source, target = atlas.chart(i), atlas.chart(image)
+    forward = {y: SuperFunction.coordinate(source, x) for x, y in names.items()}
+    back = {x: SuperFunction.coordinate(target, y) for x, y in names.items()}
+    return TransitionMap(source, target, forward), TransitionMap(target, source, back)
+
+
+def conjugate(atlas: Atlas, symmetry: Symmetry, t: TransitionMap) -> TransitionMap:
+    """R_j o t o R_i^-1 through compose: the transition t from i to j moved
+    by symmetry onto the image charts of i and j."""
+    _, back = renaming_maps(atlas, symmetry, t.source.name)
+    forward, _ = renaming_maps(atlas, symmetry, t.target.name)
+    return compose(forward, compose(t, back))
 
 
 def closed_projective_superspace(n: int, m: int) -> Atlas:

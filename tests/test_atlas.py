@@ -13,6 +13,7 @@ from superpi.atlas import (
     atlas_mismatch,
     check_berezinian_trivial,
     check_cocycle,
+    check_equivariant,
     compose,
     correction_degrees,
     identity_transition,
@@ -20,6 +21,7 @@ from superpi.atlas import (
     transition_mismatch,
 )
 from superpi.builders import (
+    build_pi_grassmannian,
     build_pi_projective_closed,
     build_projective_superspace,
     build_super_grassmannian,
@@ -27,16 +29,25 @@ from superpi.builders import (
     pi_grassmannian_cells,
 )
 from superpi.report import FAIL, PASS
-from superpi.superalgebra import Chart, Pullback, SuperFunction, parse_superfunction, substitute
+from superpi.superalgebra import (
+    Chart,
+    Pullback,
+    Renaming,
+    SuperFunction,
+    parse_superfunction,
+    substitute,
+)
 from superpi.supermatrix import SuperMatrix, berezinian
 
 from conftest import random_transition
 from oracles import (
+    conjugate,
     exhaustive_berezinian,
     exhaustive_cocycle,
     jacobian_chain_product,
     map_entries,
     pull_back,
+    renaming_maps,
 )
 
 
@@ -156,12 +167,32 @@ def verdicts(report):
 
 
 def flip_odd_image(atlas, pair):
-    """atlas with the first odd image of the transition at pair negated."""
+    """atlas with the first odd image of the transition at pair negated; it
+    keeps the candidate symmetries of atlas."""
     transitions = dict(atlas.transitions)
     t = transitions[pair]
     name = t.target.odd_coords[0]
     transitions[pair] = TransitionMap(t.source, t.target, dict(t.images, **{name: -t.images[name]}))
-    return Atlas(atlas.charts, transitions)
+    return Atlas(atlas.charts, transitions, atlas.symmetries)
+
+
+def negate_odd_images(atlas):
+    """atlas with every odd image of every stored transition negated.
+
+    That is T_ij followed by the sign change of the odd coordinates of j,
+    which commutes with every transition: the fault keeps every symmetry
+    and every round trip, and only the triples see it.
+    """
+    transitions = {
+        pair: TransitionMap(
+            t.source,
+            t.target,
+            {name: -image if name in t.target.odd_coords else image for name, image in t.images.items()},
+        )
+        for pair, t in atlas.transitions.items()
+        if pair[0] != pair[1]
+    }
+    return Atlas(atlas.charts, transitions, atlas.symmetries)
 
 
 def regauge_pair(atlas, pair):
@@ -176,7 +207,7 @@ def regauge_pair(atlas, pair):
     transitions = dict(atlas.transitions)
     transitions[(i, j)] = compose(sign, atlas.transition(i, j))
     transitions[(j, i)] = compose(atlas.transition(j, i), sign)
-    return Atlas(atlas.charts, transitions)
+    return Atlas(atlas.charts, transitions, atlas.symmetries)
 
 
 def unequal_dimension_atlas():
@@ -289,6 +320,122 @@ class TestCocycleSharing:
             compose(t2, t1, Pullback(other.target, other.images))
         shared = compose(t2, t1, Pullback(t1.target, t1.images))
         assert transition_mismatch(shared, compose(t2, t1)) == ""
+
+
+@pytest.fixture(scope="module")
+def pi_grassmannian_24():
+    return build_pi_grassmannian(2, 4)
+
+
+class TestSymmetricCocycle:
+    """check_cocycle composes one check per orbit of a cell-built atlas's symmetries."""
+
+    @pytest.mark.parametrize(
+        "build, compositions",
+        [
+            pytest.param(partial(build_pi_grassmannian, 2, 4), 5, id="pi-grassmannian-2-4"),
+            pytest.param(partial(build_super_grassmannian, 2, 0, 4, 0), 5, id="grassmannian-2-0-4-0"),
+            pytest.param(partial(build_super_grassmannian, 1, 1, 2, 2), 4, id="grassmannian-1-1-2-2"),
+            pytest.param(partial(build_projective_superspace, 2, 3), 2, id="p-2-3"),
+            pytest.param(partial(build_pi_grassmannian, 1, 4), 2, id="pi-grassmannian-1-4"),
+        ],
+    )
+    def test_orbit_representatives_match_every_check(self, monkeypatch, build, compositions):
+        atlas = build()
+        assert atlas.symmetries
+        assert check_equivariant(atlas, atlas.symmetries) == ""
+        counts = TestCocycleSharing.count_calls(monkeypatch)
+        report = check_cocycle(atlas)
+        assert counts["compose"] == compositions
+        assert report.all_passed
+        assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
+
+    def test_hand_built_atlases_carry_no_symmetry(self):
+        assert build_pi_projective_closed(3).symmetries == ()
+
+    @pytest.mark.parametrize("pair", [("U1", "U2"), ("U1", "U6")])
+    def test_single_transition_fault_breaks_a_symmetry(self, monkeypatch, pi_grassmannian_24, pair):
+        # One pair from each of the two pair orbits of G_Pi(2, 4).
+        atlas = flip_odd_image(pi_grassmannian_24, pair)
+        witness = check_equivariant(atlas, atlas.symmetries)
+        assert witness.startswith("symmetry ")
+        assert "difference" in witness
+        counts = TestCocycleSharing.count_calls(monkeypatch)
+        report = check_cocycle(atlas)
+        assert counts["compose"] == 70
+        assert not report.all_passed
+        assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
+
+    @pytest.mark.parametrize(
+        "build",
+        [partial(build_pi_grassmannian, 2, 4), partial(build_super_grassmannian, 1, 1, 2, 2)],
+        ids=["pi-grassmannian-2-4", "grassmannian-1-1-2-2"],
+    )
+    def test_fault_on_every_transition_only_triples_see(self, monkeypatch, build):
+        atlas = negate_odd_images(build())
+        assert check_equivariant(atlas, atlas.symmetries) == ""
+        counts = TestCocycleSharing.count_calls(monkeypatch)
+        report = check_cocycle(atlas)
+        # Every check is composed once: the representatives' witnesses are reused.
+        assert counts["compose"] == len(report.checks)
+        assert all(
+            c.status == PASS for c in report.checks if c.identifier.startswith("roundtrip/")
+        )
+        assert not report.all_passed
+        assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
+
+    @pytest.mark.parametrize(
+        "spoil, witness",
+        [
+            (
+                lambda s: {**s, "U1": (s["U2"][0], s["U1"][1])},
+                "symmetry 0 does not permute the charts",
+            ),
+            (
+                lambda s: {**s, "U1": (s["U1"][0], {**s["U1"][1], "x11": "th11"})},
+                "symmetry 0: the renaming of 'U1' onto 'U1' is not a parity-preserving "
+                "bijection of their coordinates",
+            ),
+        ],
+        ids=["charts", "coordinates"],
+    )
+    def test_spoilt_renaming_takes_the_primary_rule(
+        self, monkeypatch, pi_grassmannian_24, spoil, witness
+    ):
+        first, *rest = pi_grassmannian_24.symmetries
+        atlas = Atlas(
+            pi_grassmannian_24.charts, pi_grassmannian_24.transitions, [spoil(first), *rest]
+        )
+        assert check_equivariant(atlas, atlas.symmetries) == witness
+        counts = TestCocycleSharing.count_calls(monkeypatch)
+        report = check_cocycle(atlas)
+        assert counts["compose"] == 25
+        assert verdicts(report) == verdicts(check_cocycle(pi_grassmannian_24))
+
+
+class TestRenamingOracle:
+    """The direct renaming of check_equivariant against renamings composed as transitions."""
+
+    def test_renamed_transitions_match_compositions(self, pi_grassmannian_24):
+        atlas = pi_grassmannian_24
+        symmetry = atlas.symmetries[1]
+        for i, j in atlas.pairs():
+            (image_i, names_i), (image_j, names_j) = symmetry[i], symmetry[j]
+            t, moved = atlas.transition(i, j), atlas.transition(image_i, image_j)
+            rename_i = Renaming(t.source, moved.source, names_i)
+            direct = TransitionMap(
+                moved.source,
+                moved.target,
+                {names_j[y]: rename_i(image) for y, image in t.images.items()},
+            )
+            r_i, r_j = renaming_maps(atlas, symmetry, i)[0], renaming_maps(atlas, symmetry, j)[0]
+            assert transition_mismatch(compose(moved, r_i), compose(r_j, t)) == ""
+            conjugated = conjugate(atlas, symmetry, t)
+            assert transition_mismatch(direct, conjugated) == ""
+            assert {y: f.to_str() for y, f in direct.images.items()} == {
+                y: f.to_str() for y, f in conjugated.images.items()
+            }
+            assert transition_mismatch(direct, moved) == ""
 
 
 class TestTransitionMismatch:

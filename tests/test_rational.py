@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -449,6 +450,29 @@ class TestNormalForm:
             assert _normalize_pair(-num, den) == (-num, den)
         # The planted factors are multi-term, so the gcd step really runs.
         assert len(gcd_calls) >= 300
+
+    def test_renaming_matches_the_constructor(self):
+        # A renaming keeps the normal form but for den's lead sign, which
+        # follows the variable order; both outcomes of that sign occur.
+        values = [RatFun(n, d) for n, d in planted_pairs(4, 40)]
+        values.append(RatFun(poly({(0, 0, 0): 1}), poly({(1, 0, 0): 1, (0, 1, 0): -1})))
+        flips = set()
+        for f in values:
+            for order in permutations(range(len(V))):
+                got = f.renamed(V, order)
+                parts = [
+                    Poly(V, {tuple(e[k] for k in order): c for e, c in p.terms.items()})
+                    for p in (f.num, f.den)
+                ]
+                flips.add(parts[1].leading()[1] < 0)
+                assert typed_parts(got.num, got.den) == normalized(*parts)
+        assert flips == {True, False}
+
+    def test_renaming_flips_a_negative_lead(self):
+        # 1/(x - y) with x and y swapped is 1/(y - x) = -1/(x - y).
+        f = RatFun(poly({(0, 0, 0): 1}), poly({(1, 0, 0): 1, (0, 1, 0): -1}))
+        got = f.renamed(V, (1, 0, 2))
+        assert (got.num.to_str(), got.den.to_str()) == ("-1", "x - y")
 
     def test_inverse_and_quotient_match_the_old_routes(self):
         # The old inverse normalised the swapped pair; the old quotient
@@ -1050,7 +1074,7 @@ class TestLinearAlgebra:
 
 def dense_gauss_jordan(aug, n_cols, field):
     """The dense kernel gauss_jordan replaced: every row operation over every column."""
-    nonzero_test, pivotable, inverse = field
+    nonzero_test, pivotable, inverse, _ = field
     pivots = []
     for col in range(n_cols):
         row = len(pivots)

@@ -17,6 +17,7 @@ from superpi.rational import RatFun
 from superpi.superalgebra import (
     Chart,
     Pullback,
+    Renaming,
     SuperFunction,
     _merge_odd,
     parse_superfunction,
@@ -463,6 +464,48 @@ def same_representation(a, b):
     return mine.keys() == theirs.keys() and all(
         (c.num, c.den) == (theirs[m].num, theirs[m].den) for m, c in mine.items()
     )
+
+
+class TestRenaming:
+    SOURCE = Chart("S", ("a1", "a2", "a3"), ("p1", "p2", "p3"))
+    TARGET = Chart("T", ("b1", "b2", "b3"), ("q1", "q2", "q3"))
+
+    def test_koszul_sign_of_the_re_sort(self):
+        names = {"a1": "b2", "a2": "b1", "a3": "b3", "p1": "q3", "p2": "q1", "p3": "q2"}
+        f = parse_superfunction("(a1)/(a1 - a2)*[p1*p2]", self.SOURCE)
+        got = Renaming(self.SOURCE, self.TARGET, names)(f)
+        # p1*p2 -> q3*q1 = -q1*q3, and b2/(b2 - b1) = -b2/(b1 - b2).
+        assert got.to_str() == "(b2)/(b1 - b2)*[q1*q3]"
+
+    def test_matches_the_pullback_of_the_renamed_coordinates(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            evens = rng.sample(self.TARGET.even_coords, 3)
+            odds = rng.sample(self.TARGET.odd_coords, 3)
+            names = dict(zip(self.SOURCE.coords, evens + odds))
+            renaming = Renaming(self.SOURCE, self.TARGET, names)
+            pull_back = Pullback(
+                self.SOURCE,
+                {x: SuperFunction.coordinate(self.TARGET, y) for x, y in names.items()},
+            )
+            f = random_superfunction(rng, self.SOURCE)
+            f = f + f * parse_superfunction("(1)/(a1 - a2 + a3)*[p1]", self.SOURCE)
+            assert renaming(f).to_str() == pull_back(f).to_str()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"a1": "q1", "p1": "b1"}, {"a1": "b2"}, {"p3": "q4"}],
+        ids=["parity", "not one-to-one", "unknown"],
+    )
+    def test_refuses_what_is_not_a_parity_preserving_bijection(self, change):
+        names = dict(zip(self.SOURCE.coords, self.TARGET.coords), **change)
+        with pytest.raises(ValueError, match="not a parity-preserving bijection"):
+            Renaming(self.SOURCE, self.TARGET, names)
+
+    def test_refuses_a_function_on_another_chart(self):
+        renaming = Renaming(self.SOURCE, self.TARGET, dict(zip(self.SOURCE.coords, self.TARGET.coords)))
+        with pytest.raises(ValueError, match="renaming of chart 'S' applied to a function on 'T'"):
+            renaming(SuperFunction.one(self.TARGET))
 
 
 class TestOddImageCache:
