@@ -4,9 +4,9 @@
 Each call is parsed by the CLI's own parser and run through `cli.verify`,
 the code path of `superpi verify`.  A failing report is printed in full
 after its status line, and the script then exits nonzero.  The whole run,
-interpreter start included, takes 2.1-2.5 s on a 2-core machine with
-CPython 3.11.7; obstruction n=3 (0.6-0.7 s) and pi-grassmannian-24
-(0.7-0.8 s) are the slowest.
+interpreter start included, takes 1.0-1.3 s on a 2-core machine with
+CPython 3.11.7; obstruction n=3 (0.5-0.6 s) is the slowest, and
+pi-grassmannian-24 takes about 0.1 s.
 """
 
 import sys

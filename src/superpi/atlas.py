@@ -96,6 +96,24 @@ def transition_mismatch(a: TransitionMap, b: TransitionMap) -> str:
     return ""
 
 
+def rename_transition(t: TransitionMap, source: Renaming, target: Renaming) -> TransitionMap:
+    """R_J o t o R_I^-1: the transition t from I to J carried by the
+    renamings R_I = source, of I onto s(I), and R_J = target, of J onto s(J).
+
+    It runs from s(I) to s(J) and maps R_J(y) to R_I of the image of y under
+    t, keyed in the order of t.images.  No product, gcd or Pullback runs.
+    check_equivariant compares it with the stored transition; the cell
+    builders store it.
+    """
+    if t.target is not target.source and t.target != target.source:
+        raise ValueError(
+            f"the renaming of {target.source.name!r} cannot carry a transition "
+            f"into {t.target.name!r}"
+        )
+    images = {target.names[y]: source(image) for y, image in t.images.items()}
+    return TransitionMap(source.target, target.target, images)
+
+
 class Atlas:
     """Charts plus one transition per ordered chart pair.
 
@@ -171,7 +189,8 @@ def check_equivariant(atlas: Atlas, symmetries: Sequence[Symmetry]) -> str:
     A candidate s must permute the charts and rename the coordinates of each
     chart I onto those of s(I) with parities kept (a Renaming R_I).  It is a
     symmetry when T_{s(I)s(J)} maps R_J(y) to R_I(T_IJ(y)) for every ordered
-    pair (I, J) and every coordinate y of J, compared exactly.  The witness
+    pair (I, J) and every coordinate y of J, that is when rename_transition
+    carries T_IJ onto T_{s(I)s(J)}, compared exactly.  The witness
     names the candidate by its position, then the pair and the coordinate y
     with the difference renamed image - stored image.
     """
@@ -188,10 +207,11 @@ def check_equivariant(atlas: Atlas, symmetries: Sequence[Symmetry]) -> str:
             return f"symmetry {number}: {error}"
         for i, j in atlas.pairs():
             t = atlas.transition(i, j)
-            image_j, coords_j = symmetry[j]
-            moved = atlas.transition(symmetry[i][0], image_j)
+            moved = rename_transition(t, renamings[i], renamings[j])
+            stored = atlas.transition(moved.source.name, moved.target.name)
             for name in t.target.coords:
-                witness = mismatch(renamings[i](t.images[name]), moved.images[coords_j[name]])
+                y = renamings[j].names[name]
+                witness = mismatch(moved.images[y], stored.images[y])
                 if witness:
                     return f"symmetry {number}, pair {i}->{j}, coordinate {name}: {witness}"
     return ""

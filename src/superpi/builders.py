@@ -1,7 +1,8 @@
 """Constructors for the atlases the engine verifies.
 
 Every family is derived from its big cells, glued through
-Z_J = B_IJ^-1 Z_I with the new coordinates read off the free columns.  The
+Z_J = B_IJ^-1 Z_I with the new coordinates read off the free columns, one
+pair per orbit of the cells' column symmetries and the rest renamed.  The
 projective superspace P^{n|m} is the rank-(1|0) super Grassmannian
 G(1|0; n+1|m) and comes from its cells only.  P^n_Pi alone has a second
 route, the paper's closed-form transition formulas; the two routes are
@@ -27,9 +28,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .atlas import Atlas, Symmetry, TransitionMap
+from .atlas import Atlas, Symmetry, TransitionMap, rename_transition
 from .rational import exact, gauss_jordan
-from .superalgebra import Chart, SuperFunction
+from .superalgebra import Chart, Renaming, SuperFunction
 from .supermatrix import EVEN_FUNCTIONS, SuperMatrix, grid_mul
 
 
@@ -432,24 +433,80 @@ def _column_symmetry(cells: list[BigCell], sigma: tuple[int, ...]) -> Symmetry:
 def _atlas_from_cells(
     cells: list[BigCell], columns: list[tuple[int, ...]]
 ) -> tuple[Atlas, dict[tuple[str, str], str]]:
-    """Atlas with one transition per ordered pair of distinct cells, each
-    derived once (Atlas adds the identities), and the read-off's
-    disagreement for every pair keyed by (source, target), "" when none.
+    """Atlas with one transition per ordered pair of distinct cells (Atlas
+    adds the identities), and the read-off's disagreement for every pair
+    keyed by (source, target), "" when none; both are in pair order.
 
     columns lists generators of a group of grid-column permutations that
     permutes the cells; the atlas carries the symmetry of each
-    (_column_symmetry).
+    (_column_symmetry).  Taking the pairs in order, the first pair of each
+    orbit under that group is derived (_read_off).  When its read-off
+    agrees, every other pair of the orbit is that transition renamed along
+    the generators (atlas.rename_transition), keyed in the order of its
+    target cell's layout as the read-off keys it.  Otherwise every pair of
+    the orbit is derived, so a faulty derivation gets the transitions and
+    witnesses that deriving every pair gives.
+
+    Lemma.  Let sigma be a column permutation and R_I the renaming
+    _column_symmetry reads off from Z_I onto Z_sigma(I).
+      * A column permutation of Z_I, with its rows put back in order, is
+        Z_sigma(I) renamed by R_I.
+      * Row reduction at the index columns is unique (B^-1 Z is the one
+        matrix row-equivalent to Z with the identity there), and so is
+        the RatFun normal form.  So transformed_cell(Z_sigma(I),
+        Z_sigma(J)) is transformed_cell(Z_I, Z_J) renamed by R_I, its
+        columns and rows moved as in the first point, and its read-off
+        witness is empty exactly when the seed's is.
+    With an empty witness every position of a name reads the same, so
+    T_sigma(I)sigma(J) maps R_J(y) to R_I(T_IJ(y)) whichever position the
+    read-off takes first; a seed with a witness is not renamed for that
+    reason.  A product of generators carries the composite renaming, so
+    the lemma covers the whole orbit.  The checks do not rely on it:
+    check_cocycle runs check_equivariant, which compares each pair renamed
+    by each generator with the stored one.
     """
-    charts = [cell.chart for cell in cells]
+    by_name = {cell.chart.name: cell for cell in cells}
+    symmetries = [_column_symmetry(cells, sigma) for sigma in columns]
+    renamings = [
+        {
+            i: Renaming(by_name[i].chart, by_name[image].chart, coords)
+            for i, (image, coords) in symmetry.items()
+        }
+        for symmetry in symmetries
+    ]
+    layout_order = {
+        name: tuple(dict.fromkeys(coord for coord, _ in cell.layout.values()))
+        for name, cell in by_name.items()
+    }
+    pairs = [(i, j) for i in by_name for j in by_name if i != j]
     transitions: dict[tuple[str, str], TransitionMap] = {}
     disagreements: dict[tuple[str, str], str] = {}
-    for zi in cells:
-        for zj in cells:
-            if zi is not zj:
-                pair = (zi.chart.name, zj.chart.name)
-                transitions[pair], disagreements[pair] = _read_off(zi, zj)
-    symmetries = [_column_symmetry(cells, sigma) for sigma in columns]
-    return Atlas(charts, transitions, symmetries), disagreements
+    direct: set[tuple[str, str]] = set()
+    for seed in pairs:
+        if seed in transitions:
+            continue
+        transitions[seed], disagreements[seed] = _read_off(by_name[seed[0]], by_name[seed[1]])
+        if seed in direct:
+            continue
+        orbit = [seed]
+        while orbit:
+            i, j = orbit.pop()
+            for renaming in renamings:
+                pair = (renaming[i].target.name, renaming[j].target.name)
+                if pair in transitions or pair in direct:
+                    continue
+                orbit.append(pair)
+                if disagreements[seed]:
+                    direct.add(pair)
+                    continue
+                moved = rename_transition(transitions[(i, j)], renaming[i], renaming[j])
+                images = {y: moved.images[y] for y in layout_order[pair[1]]}
+                transitions[pair] = TransitionMap(moved.source, moved.target, images)
+                disagreements[pair] = ""
+    atlas = Atlas(
+        [cell.chart for cell in cells], {pair: transitions[pair] for pair in pairs}, symmetries
+    )
+    return atlas, {pair: disagreements[pair] for pair in pairs}
 
 
 def build_super_grassmannian(d0: int, d1: int, n: int, m: int) -> Atlas:

@@ -457,7 +457,8 @@ class Renaming:
     target and the odd ones onto the odd ones; ValueError otherwise.  A
     coefficient moves its exponents to target's variable order
     (RatFun.renamed), and an odd monomial is re-sorted in target's order
-    with the sign of the sort.  No product, gcd or Pullback runs.
+    with the sign of the sort.  No product, gcd or Pullback runs.  The
+    attribute names keeps the mapping.
     """
 
     def __init__(self, source: Chart, target: Chart, names: Mapping[str, str]):
@@ -475,6 +476,7 @@ class Renaming:
         back = {y: x for x, y in names.items()}
         self.source = source
         self.target = target
+        self.names = names
         self._order = tuple(source.even_coords.index(back[y]) for y in target.even_coords)
         self._odd_positions = {x: target.odd_position(names[x]) for x in source.odd_coords}
 

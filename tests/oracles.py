@@ -15,7 +15,7 @@ from superpi.atlas import (
     super_jacobian,
     transition_mismatch,
 )
-from superpi.builders import coordinate_name
+from superpi.builders import BigCell, _read_off, coordinate_name
 from superpi.cohomology import CechCochain1, TensorSection, pullback_tensor
 from superpi.report import PASS, UNDETERMINED, VerificationReport
 from superpi.superalgebra import Chart, SuperFunction, substitute
@@ -73,6 +73,21 @@ def exhaustive_berezinian(atlas: Atlas) -> VerificationReport:
     else:
         report.add("verdict", UNDETERMINED, "undetermined")
     return report
+
+
+def derive_every_pair(cells: list[BigCell]) -> tuple[Atlas, dict[tuple[str, str], str]]:
+    """The atlas of the cells with every ordered pair derived through its own
+    read-off, and each read-off's disagreement keyed by pair, both in pair
+    order: what the cell builders build by deriving one pair per orbit, less
+    the symmetries."""
+    transitions: dict[tuple[str, str], TransitionMap] = {}
+    disagreements: dict[tuple[str, str], str] = {}
+    for zi in cells:
+        for zj in cells:
+            if zi is not zj:
+                pair = (zi.chart.name, zj.chart.name)
+                transitions[pair], disagreements[pair] = _read_off(zi, zj)
+    return Atlas([cell.chart for cell in cells], transitions), disagreements
 
 
 def renaming_maps(atlas: Atlas, symmetry: Symmetry, i: str) -> tuple[TransitionMap, TransitionMap]:

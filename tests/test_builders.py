@@ -1,11 +1,13 @@
 """Big cells, derived transitions, Pi-symmetry and the named atlases."""
 
 import random
+from functools import partial
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from superpi import atlas as atlas_module
 from superpi import builders
 from superpi.atlas import (
     atlas_mismatch,
@@ -39,7 +41,7 @@ from superpi.suites import G24_EXPECTED_U1_U2, suite_pi_grassmannian_24
 from superpi.superalgebra import Chart, SuperFunction, parse_superfunction
 from superpi.supermatrix import SuperMatrix
 
-from oracles import closed_projective_superspace, schur_inverse
+from oracles import closed_projective_superspace, derive_every_pair, schur_inverse
 
 
 class TestPiLine:
@@ -354,7 +356,7 @@ class TestPiGrassmannian24:
         with pytest.raises(ValueError, match="unsupported"):
             pi_grassmannian_cells(2, 2)
 
-    def test_rank_two_cells_past_four_columns(self):
+    def test_rank_two_cells_past_four_columns(self, monkeypatch):
         atlas, witnesses = derive_pi_grassmannian(2, 5)
         assert atlas.chart_names() == [f"U{idx}" for idx in range(1, 11)]
         assert atlas.chart("U10").even_coords == (
@@ -365,6 +367,15 @@ class TestPiGrassmannian24:
         assert all(witness == "" for witness in witnesses.values())
         # a degree-4 even correction appears, which G_Pi(2, 4) does not show
         assert correction_degrees(atlas) == ({2, 4}, {3})
+        # one check per orbit: 2 round trips and 4 triples prove all 330
+        compositions = []
+        compose = atlas_module.compose
+        monkeypatch.setattr(
+            atlas_module, "compose", lambda *args: compositions.append(args) or compose(*args)
+        )
+        report = check_cocycle(atlas)
+        assert len(compositions) == 6
+        assert len(report.checks) == 330 and report.all_passed
 
     def test_non_overlapping_guard(self):
         # a degenerate template whose selected columns are not invertible
@@ -393,11 +404,12 @@ def _with_entries(w, changes):
     return SuperMatrix(w.chart, w.row_shape, w.col_shape, grid)
 
 
-def _plant_loss(monkeypatch, lost_pair):
+def _plant_loss(monkeypatch, lost_pair=None):
     """Record the pairs builders.transformed_cell derives, and break
     Pi-symmetry in lost_pair's derived cell for real: 1 is added at the
     second position of the target Pi-template's first name, so the read-off
-    (which takes the first position) keeps the true transition."""
+    (which takes the first position) keeps the true transition.  Without
+    lost_pair, only record."""
     pairs = []
     transform = builders.transformed_cell
 
@@ -417,33 +429,65 @@ def _plant_loss(monkeypatch, lost_pair):
 class TestPiVerdictPlumbing:
     def test_suite_derives_each_pair_once_and_reports_lost_symmetry(self, monkeypatch):
         cells = pi_grassmannian_cells(2, 4)
-        x15 = derive_transition_from_cells(cells[1], cells[4]).images["x15"]
-        pairs = _plant_loss(monkeypatch, ("U2", "U5"))
+        x12 = derive_transition_from_cells(cells[0], cells[1]).images["x12"]
+        pairs = _plant_loss(monkeypatch, ("U1", "U2"))
         report = suite_pi_grassmannian_24()
-        assert len(pairs) == 30 and len(set(pairs)) == 30
+        # U1->U2 seeds the orbit of the 24 pairs of cells sharing a column;
+        # having lost Pi-symmetry, it seeds no renaming, so the other 23 are
+        # derived directly.  The disjoint orbit is derived once, at U1->U6.
+        index = {cell.chart.name: set(cell.index_even) for cell in cells}
+        ordered = [(i, j) for i in index for j in index if i != j]
+        assert pairs == [(i, j) for i, j in ordered if index[i] & index[j] or (i, j) == ("U1", "U6")]
+        assert len(set(pairs)) == 25
         pi_checks = [c for c in report.checks if c.identifier.startswith("pi-symmetry/")]
-        assert [c.identifier for c in pi_checks] == [f"pi-symmetry/{i}->{j}" for i, j in pairs]
+        assert [c.identifier for c in pi_checks] == [f"pi-symmetry/{i}->{j}" for i, j in ordered]
         not_passed = {c.identifier: c.status for c in report.checks if c.status != PASS}
-        assert not_passed == {"pi-symmetry/U2->U5": FAIL}
+        assert not_passed == {"pi-symmetry/U1->U2": FAIL}
         # The witness is the read-off's disagreement: the first position of
-        # x15 against the second, where the plant added 1.
-        planted = x15 + SuperFunction.one(x15.chart)
-        assert report.find("pi-symmetry/U2->U5").witness == (
-            f"inconsistent read-off for 'x15': {x15.to_str()} vs {planted.to_str()}"
+        # x12 against the second, where the plant added 1.
+        planted = x12 + SuperFunction.one(x12.chart)
+        assert report.find("pi-symmetry/U1->U2").witness == (
+            f"inconsistent read-off for 'x12': {x12.to_str()} vs {planted.to_str()}"
         )
 
     def test_cli_exits_one_on_lost_symmetry(self, monkeypatch, capsys):
-        _plant_loss(monkeypatch, ("U2", "U5"))
+        _plant_loss(monkeypatch, ("U1", "U2"))
         assert main(["verify", "pi-grassmannian-24"]) == 1
         captured = capsys.readouterr()
-        assert "pi-symmetry/U2->U5" in captured.out and captured.err == ""
-        assert "inconsistent read-off for 'x15'" in captured.out
+        assert "pi-symmetry/U1->U2" in captured.out and captured.err == ""
+        assert "inconsistent read-off for 'x12'" in captured.out
 
     def test_build_raises_on_lost_symmetry(self, monkeypatch):
-        pairs = _plant_loss(monkeypatch, ("U1", "U0"))
-        with pytest.raises(ValueError, match="U1->U0 lost Pi-symmetry: inconsistent read-off for 'z10'"):
+        # U0->U1 seeds the one pair orbit of P^2_Pi: every pair is derived.
+        pairs = _plant_loss(monkeypatch, ("U0", "U1"))
+        with pytest.raises(ValueError, match="U0->U1 lost Pi-symmetry: inconsistent read-off for 'z01'"):
             build_pi_grassmannian(1, 3)
-        assert len(pairs) == 6
+        names = ["U0", "U1", "U2"]
+        assert pairs == [(i, j) for i in names for j in names if i != j]
+
+    @pytest.mark.parametrize(
+        "generator, chart, odd", [(0, "U1", False), (1, "U2", False), (1, "U6", True)]
+    )
+    def test_spoilt_renaming_fails_verification(self, monkeypatch, capsys, generator, chart, odd):
+        # Two names of one chart swapped in one generator's renaming: the
+        # build renames along it, and the checks must refuse the result.
+        column_symmetry = builders._column_symmetry
+        calls = []
+
+        def spoilt(cells, sigma):
+            symmetry = column_symmetry(cells, sigma)
+            calls.append(sigma)
+            if len(calls) - 1 == generator:
+                image, names = symmetry[chart]
+                source = next(cell.chart for cell in cells if cell.chart.name == chart)
+                a, b = (source.odd_coords if odd else source.even_coords)[:2]
+                symmetry[chart] = (image, {**names, a: names[b], b: names[a]})
+            return symmetry
+
+        monkeypatch.setattr(builders, "_column_symmetry", spoilt)
+        assert main(["verify", "pi-grassmannian-24"]) == 1
+        assert "fail    ] cocycle/" in capsys.readouterr().out
+        assert len(calls) == 2
 
     def test_derive_transition_raises_on_disagreement(self, monkeypatch):
         _plant_loss(monkeypatch, ("U1", "U0"))
@@ -461,6 +505,75 @@ class TestPiVerdictPlumbing:
         monkeypatch.setattr(builders, "transformed_cell", broken)
         with pytest.raises(ValueError, match="column 1 of the transformed cell is not the unit"):
             builders.derive_pi_grassmannian(1, 3)
+
+
+def _grassmannian(d0, d1, n, m):
+    """build_super_grassmannian with its read-offs' disagreements, none by
+    its docstring, in the form derive_pi_grassmannian returns."""
+    atlas = build_super_grassmannian(d0, d1, n, m)
+    return atlas, dict.fromkeys(atlas.pairs(), "")
+
+
+class TestOrbitDerivation:
+    """The cell builders derive one pair per orbit of the column symmetries
+    and rename the rest; deriving every pair (oracles.derive_every_pair)
+    gives the same atlas, key order and text included."""
+
+    @pytest.mark.parametrize(
+        "build, cells",
+        [
+            *(
+                pytest.param(
+                    partial(derive_pi_grassmannian, 1, n),
+                    partial(pi_grassmannian_cells, 1, n),
+                    id=f"pi-grassmannian-1-{n}",
+                )
+                for n in range(2, 7)
+            ),
+            *(
+                pytest.param(
+                    partial(derive_pi_grassmannian, 2, n),
+                    partial(pi_grassmannian_cells, 2, n),
+                    id=f"pi-grassmannian-2-{n}",
+                )
+                for n in range(3, 6)
+            ),
+            *(
+                pytest.param(
+                    partial(_grassmannian, *shape),
+                    partial(grassmannian_cells, *shape),
+                    id="grassmannian-{}-{}-{}-{}".format(*shape),
+                )
+                for shape in [(2, 0, 4, 0), (1, 1, 2, 2), (2, 1, 4, 2), (1, 0, 3, 3)]
+            ),
+        ],
+    )
+    def test_matches_deriving_every_pair(self, build, cells):
+        atlas, witnesses = build()
+        oracle, oracle_witnesses = derive_every_pair(cells())
+        assert atlas_mismatch(atlas, oracle) == ""
+        assert list(atlas.transitions) == list(oracle.transitions)
+        for pair in oracle.pairs():
+            built, derived = atlas.transition(*pair).images, oracle.transition(*pair).images
+            assert list(built) == list(derived)
+            assert [f.to_str() for f in built.values()] == [f.to_str() for f in derived.values()]
+        assert list(witnesses.items()) == list(oracle_witnesses.items())
+
+    @pytest.mark.parametrize(
+        "build, derivations",
+        [
+            pytest.param(partial(build_pi_grassmannian, 2, 4), 2, id="pi-grassmannian-2-4"),
+            pytest.param(partial(build_pi_grassmannian, 2, 5), 2, id="pi-grassmannian-2-5"),
+            pytest.param(partial(build_pi_grassmannian, 1, 4), 1, id="pi-grassmannian-1-4"),
+            pytest.param(partial(build_super_grassmannian, 2, 0, 4, 0), 2, id="grassmannian-2-0-4-0"),
+            pytest.param(partial(build_super_grassmannian, 1, 1, 2, 2), 3, id="grassmannian-1-1-2-2"),
+            pytest.param(partial(build_projective_superspace, 2, 3), 1, id="p-2-3"),
+        ],
+    )
+    def test_one_derivation_per_pair_orbit(self, monkeypatch, build, derivations):
+        pairs = _plant_loss(monkeypatch)
+        build()
+        assert len(pairs) == derivations
 
 
 def _read_off_verdict(monkeypatch, zi, zj, w):
