@@ -22,9 +22,8 @@ one; the tests check the correct contraction with the oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .report import PASS, UNDETERMINED, VerificationReport, mismatch
 from .superalgebra import Chart, Pullback, Renaming, SuperFunction, check_image
@@ -33,6 +32,10 @@ from .supermatrix import SuperMatrix, berezinian
 # A candidate symmetry of an atlas: each chart name maps to the name of its
 # image chart and to the renaming of its coordinates onto that chart's.
 Symmetry = dict[str, tuple[str, dict[str, str]]]
+
+# A step of an orbit walk (pair_orbits): the pair reached, the pair it is
+# reached from, and the renamings of the generator that carries one to the other.
+OrbitStep = tuple[tuple[str, str], tuple[str, str], Mapping[str, Renaming]]
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,7 @@ class Atlas:
         self.charts = list(charts)
         self.transitions = dict(transitions)
         self.symmetries = tuple(symmetries)
+        self._verified: list[dict[str, Renaming]] | None = None
 
     def chart(self, name: str) -> Chart:
         for c in self.charts:
@@ -162,6 +166,21 @@ class Atlas:
     def pairs(self) -> list[tuple[str, str]]:
         names = self.chart_names()
         return [(i, j) for i in names for j in names if i != j]
+
+    def verified_renamings(self) -> list[dict[str, Renaming]]:
+        """The renamings of each symmetry that moves a chart, keyed by chart
+        name, when check_equivariant accepts those symmetries; [] when there
+        are none or it refuses them.
+
+        Symmetries that move no chart leave every orbit as it is, so they
+        do not count.  check_equivariant runs on the first call only; later
+        calls read its verdict.
+        """
+        if self._verified is None:
+            moving = [s for s in self.symmetries if any(i != image for i, (image, _) in s.items())]
+            accepted = bool(moving) and not check_equivariant(self, moving)
+            self._verified = [_renamings(self, s) for s in moving] if accepted else []
+        return self._verified
 
 
 def atlas_mismatch(a: Atlas, b: Atlas) -> str:
@@ -199,10 +218,7 @@ def check_equivariant(atlas: Atlas, symmetries: Sequence[Symmetry]) -> str:
         if sorted(symmetry) != names or sorted(image for image, _ in symmetry.values()) != names:
             return f"symmetry {number} does not permute the charts"
         try:
-            renamings = {
-                i: Renaming(atlas.chart(i), atlas.chart(image), coords)
-                for i, (image, coords) in symmetry.items()
-            }
+            renamings = _renamings(atlas, symmetry)
         except ValueError as error:
             return f"symmetry {number}: {error}"
         for i, j in atlas.pairs():
@@ -217,6 +233,48 @@ def check_equivariant(atlas: Atlas, symmetries: Sequence[Symmetry]) -> str:
     return ""
 
 
+def _renamings(atlas: Atlas, symmetry: Symmetry) -> dict[str, Renaming]:
+    """The Renaming of each chart by symmetry onto its image chart, by name;
+    ValueError when one is not a parity-preserving bijection."""
+    return {
+        i: Renaming(atlas.chart(i), atlas.chart(image), coords)
+        for i, (image, coords) in symmetry.items()
+    }
+
+
+def pair_orbits(
+    pairs: Sequence[tuple[str, str]], renamings: Sequence[Mapping[str, Renaming]]
+) -> list[tuple[tuple[str, str], list[OrbitStep]]]:
+    """The orbits of the ordered chart pairs under the group the generators
+    in renamings generate, each as (seed, steps).
+
+    Each generator maps every chart name to the Renaming of that chart onto
+    its image.  The seed is the orbit's first pair in pairs order, and each
+    step (pair, parent, renaming) reaches a new pair of the orbit from the
+    seed or an earlier step: pair is (renaming[i].target.name,
+    renaming[j].target.name) for parent (i, j).  Without generators every
+    pair is an orbit of its own.
+    """
+    seen: set[tuple[str, str]] = set()
+    orbits = []
+    for seed in pairs:
+        if seed in seen:
+            continue
+        seen.add(seed)
+        steps: list[OrbitStep] = []
+        walk = [seed]
+        while walk:
+            i, j = parent = walk.pop()
+            for renaming in renamings:
+                pair = (renaming[i].target.name, renaming[j].target.name)
+                if pair not in seen:
+                    seen.add(pair)
+                    walk.append(pair)
+                    steps.append((pair, parent, renaming))
+        orbits.append((seed, steps))
+    return orbits
+
+
 def check_cocycle(atlas: Atlas) -> VerificationReport:
     """Round-trip and triple-overlap consistency of every transition.
 
@@ -229,13 +287,13 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
     composed at first, and when they all pass every other check passes by
     the lemma below; its witness is "", which is what composing it would
     print.  If the atlas carries symmetries that move a chart and
-    check_equivariant accepts them, the checks composed are the first
-    check, in report order, of each orbit of chart pairs and of chart
-    triples under the group they generate (part 5).  Otherwise, or when
-    one of those fails, they are the primary checks: the round trip
-    i->j->i for the first ordering of each unordered pair, and the
-    increasing ordering (0, j, k) of each triple through the first chart
-    U0 (part 4).  When a primary check fails or dimensions differ, every
+    check_equivariant accepts them (Atlas.verified_renamings), the checks
+    composed are the first check, in report order, of each orbit of chart
+    pairs and of chart triples under the group they generate (part 5).
+    Otherwise, or when one of those fails, they are the primary checks:
+    the round trip i->j->i for the first ordering of each unordered pair,
+    and the increasing ordering (0, j, k) of each triple through the first
+    chart U0 (part 4).  When a primary check fails or dimensions differ, every
     other check is composed too.  Each check is composed at most once, so
     a failing atlas gets the same report and witnesses as when every check
     is composed.
@@ -316,14 +374,11 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
 
 
 def _orbit_representatives(atlas: Atlas, checks: list[tuple]) -> list[tuple] | None:
-    """The first check of each orbit of chart sets under the atlas's symmetries.
-
-    Only the symmetries that move a chart count, since the others leave
-    every orbit as it is.  None when there are none or check_equivariant
-    refuses them.
+    """The first check of each orbit of chart sets under the atlas's
+    verified symmetries (Atlas.verified_renamings); None when it has none.
     """
-    moving = [s for s in atlas.symmetries if any(i != image for i, (image, _) in s.items())]
-    if not moving or check_equivariant(atlas, moving):
+    renamings = atlas.verified_renamings()
+    if not renamings:
         return None
     seen: set[frozenset[str]] = set()
     firsts = []
@@ -336,8 +391,8 @@ def _orbit_representatives(atlas: Atlas, checks: list[tuple]) -> list[tuple] | N
         orbit = [charts]
         while orbit:
             charts = orbit.pop()
-            for s in moving:
-                image = frozenset(s[i][0] for i in charts)
+            for renaming in renamings:
+                image = frozenset(renaming[i].target.name for i in charts)
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)
@@ -392,62 +447,54 @@ def berezinian_class(value: SuperFunction) -> tuple[str, str]:
     constant = value.is_constant()
     if constant is None or constant == 0:
         return "nonconstant", f"Ber = {value.to_str()}"
-    return _constant_class(constant)
-
-
-def _constant_class(constant: int | Fraction) -> tuple[str, str]:
-    """The class of a Berezinian equal to the nonzero constant given."""
     if constant == 1:
         return "one", "Ber = 1"
     return "constant", f"Ber = {constant}"
 
 
-def check_berezinian_trivial(atlas: Atlas, cocycle: VerificationReport) -> VerificationReport:
+def check_berezinian_trivial(atlas: Atlas) -> VerificationReport:
     """Berezinians of all pair Jacobians, with a triviality verdict.
 
-    cocycle is the report check_cocycle gave for atlas.  Only the star
-    Berezinians c_j = Ber(T_0j) out of the first chart U0 are computed
-    first.  When every cocycle check passed, the round trips the report
-    holds are exactly those of the ordered pairs of atlas (a cheap guard
-    against the report of another atlas) and every c_j is a nonzero
-    constant, the lemma below gives Ber(T_j0) = 1/c_j and Ber(T_jk) =
-    c_k/c_j, reported with the class and witness that computing them
-    gives.  Otherwise every other pair is computed too.
+    When the atlas's symmetries are verified (Atlas.verified_renamings),
+    Ber is computed on the first pair of each orbit of ordered pairs
+    (pair_orbits), and each other pair of the orbit, reached from (i, j)
+    by a generator s with renamings R, gets
 
-    Lemma.  Once every cocycle check passes, all orderings hold: by the
-    lemma of check_cocycle, or directly when dimensions differ, because
-    both round trips make every Phi invertible.  So T_jk = T_0k o T_j0.
-    The chain rule of the module docstring is a product of supermatrices
-    and Ber is multiplicative, so Ber(T_jk) = Ber(T_j0) * T_j0^*(Ber T_0k).
-    The round trip j->0->j gives Ber(T_j0) * T_j0^*(c_j) = Ber(id) = 1,
-    and a constant pulls back to itself.
+        Ber(T_s(i)s(j)) = sign(R_i) * sign(R_j) * R_i(Ber(T_ij)).
+
+    Otherwise every pair is computed.  Either way each pair is reported
+    with the class and witness that computing it gives.
+
+    Lemma.  Regard the renaming R_i as the transition from i to s(i) that
+    sends each coordinate to its new name.  Its Jacobian is a permutation
+    matrix in each parity block, so its Berezinian is the constant
+    Renaming.sign, and so is that of R_i^-1.  check_equivariant gives
+    T_s(i)s(j) = R_j o T_ij o R_i^-1.  The chain rule of the module
+    docstring is a product of supermatrices and Ber is multiplicative, so
+    Ber(T_s(i)s(j)) is Ber(R_i^-1), times Ber(T_ij) pulled back by R_i^-1,
+    times Ber(R_j) pulled back, which is itself.  Pulling a function on i
+    back by R_i^-1 renames its coordinates: it is R_i applied to it.  A
+    product of generators is covered step by step along the walk.  The
+    sign is needed: on P^{2|3} the generators that reorder the odd
+    coordinates flip it.
 
     Verdict levels: "trivial (exact)" when every Berezinian is 1,
     "trivial (constant cocycle)" when all are nonzero constants, otherwise
-    "undetermined".  Constant Berezinians are Ber_jk = c_k/c_j, the
-    coboundary of the 0-cochain (c_j) with c_0 = 1, so rescaling the
-    frames on U_j by c_j makes every Berezinian 1.
+    "undetermined".  On a glued atlas constant Berezinians are
+    Ber_jk = c_k/c_j with c_j = Ber_0j, the coboundary of the 0-cochain
+    (c_j) with c_0 = 1, so rescaling the frames on U_j by c_j makes every
+    Berezinian 1.
     """
-    names = atlas.chart_names()
-    first = names[0]
-    star = {j: berezinian(super_jacobian(atlas.transition(first, j))) for j in names[1:]}
-    scale = {j: ber.is_constant() for j, ber in star.items()}
-    scale[first] = 1
-    roundtrips = {c.identifier for c in cocycle.checks if c.identifier.startswith("roundtrip/")}
-    chained = (
-        cocycle.all_passed
-        and roundtrips == {f"roundtrip/{i}->{j}->{i}" for i, j in atlas.pairs()}
-        and all(c is not None and c != 0 for c in scale.values())
-    )
+    values: dict[tuple[str, str], SuperFunction] = {}
+    for seed, steps in pair_orbits(atlas.pairs(), atlas.verified_renamings()):
+        values[seed] = berezinian(super_jacobian(atlas.transition(*seed)))
+        for pair, (i, j), renaming in steps:
+            renamed = renaming[i](values[(i, j)])
+            values[pair] = renamed if renaming[i].sign == renaming[j].sign else -renamed
     report = VerificationReport("berezinian")
     kinds = []
     for i, j in atlas.pairs():
-        if i == first:
-            kind, witness = berezinian_class(star[j])
-        elif chained:
-            kind, witness = _constant_class(Fraction(scale[j], scale[i]))
-        else:
-            kind, witness = berezinian_class(berezinian(super_jacobian(atlas.transition(i, j))))
+        kind, witness = berezinian_class(values[(i, j)])
         kinds.append(kind)
         status = PASS if kind in ("one", "constant") else UNDETERMINED
         report.add(f"pair/{i}->{j}", status, witness)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .atlas import Atlas, Symmetry, TransitionMap, rename_transition
+from .atlas import Atlas, Symmetry, TransitionMap, pair_orbits, rename_transition
 from .rational import exact, gauss_jordan
 from .superalgebra import Chart, Renaming, SuperFunction
 from .supermatrix import EVEN_FUNCTIONS, SuperMatrix, grid_mul
@@ -297,6 +297,11 @@ def build_pi_projective_closed(n: int, scale: Fraction | int = 1) -> Atlas:
     frame rules under dz <-> th.  scale=1 is the standard normalisation,
     scale=0 degenerates to the split model with the same odd part.  scale
     must be exact: a float raises TypeError.
+
+    The formulas hold for every labelling of the charts, so the atlas
+    carries the symmetries of S_{n+1} permuting the indices: sigma maps U_i
+    to U_sigma(i) and renames z_ki, th_ki to z_sigma(k)sigma(i),
+    th_sigma(k)sigma(i).
     """
     if n < 1:
         raise ValueError("Pi-projective space needs n >= 1")
@@ -331,7 +336,22 @@ def build_pi_projective_closed(n: int, scale: Fraction | int = 1) -> Atlas:
                 )
                 images[coordinate_name("th", ell, j)] = th_li * inv - z_li * inv2 * th_ji
             transitions[(src.name, tgt.name)] = TransitionMap(src, tgt, images)
-    return Atlas(charts, transitions)
+    symmetries = [
+        {
+            f"U{i}": (
+                f"U{sigma[i]}",
+                {
+                    coordinate_name(prefix, k, i): coordinate_name(prefix, sigma[k], sigma[i])
+                    for prefix in ("z", "th")
+                    for k in range(n + 1)
+                    if k != i
+                },
+            )
+            for i in range(n + 1)
+        }
+        for sigma in _symmetric_generators(n + 1)
+    ]
+    return Atlas(charts, transitions, symmetries)
 
 
 def pi_projective_cell(n: int, i: int) -> BigCell:
@@ -439,10 +459,10 @@ def _atlas_from_cells(
 
     columns lists generators of a group of grid-column permutations that
     permutes the cells; the atlas carries the symmetry of each
-    (_column_symmetry).  Taking the pairs in order, the first pair of each
-    orbit under that group is derived (_read_off).  When its read-off
-    agrees, every other pair of the orbit is that transition renamed along
-    the generators (atlas.rename_transition), keyed in the order of its
+    (_column_symmetry).  The first pair of each orbit under that group, in
+    pair order, is derived (_read_off).  When its read-off agrees, every
+    other pair of the orbit is that transition renamed along the walk of
+    atlas.pair_orbits (atlas.rename_transition), keyed in the order of its
     target cell's layout as the read-off keys it.  Otherwise every pair of
     the orbit is derived, so a faulty derivation gets the transitions and
     witnesses that deriving every pair gives.
@@ -481,28 +501,20 @@ def _atlas_from_cells(
     pairs = [(i, j) for i in by_name for j in by_name if i != j]
     transitions: dict[tuple[str, str], TransitionMap] = {}
     disagreements: dict[tuple[str, str], str] = {}
-    direct: set[tuple[str, str]] = set()
-    for seed in pairs:
-        if seed in transitions:
+    orbits = pair_orbits(pairs, renamings)
+    seeds = {pair: seed for seed, steps in orbits for pair, _, _ in steps}
+    # The seeds, and the pairs of an orbit whose seed disagrees, in pair order.
+    for pair in pairs:
+        if pair not in seeds or disagreements[seeds[pair]]:
+            transitions[pair], disagreements[pair] = _read_off(by_name[pair[0]], by_name[pair[1]])
+    for seed, steps in orbits:
+        if disagreements[seed]:
             continue
-        transitions[seed], disagreements[seed] = _read_off(by_name[seed[0]], by_name[seed[1]])
-        if seed in direct:
-            continue
-        orbit = [seed]
-        while orbit:
-            i, j = orbit.pop()
-            for renaming in renamings:
-                pair = (renaming[i].target.name, renaming[j].target.name)
-                if pair in transitions or pair in direct:
-                    continue
-                orbit.append(pair)
-                if disagreements[seed]:
-                    direct.add(pair)
-                    continue
-                moved = rename_transition(transitions[(i, j)], renaming[i], renaming[j])
-                images = {y: moved.images[y] for y in layout_order[pair[1]]}
-                transitions[pair] = TransitionMap(moved.source, moved.target, images)
-                disagreements[pair] = ""
+        for pair, (i, j), renaming in steps:
+            moved = rename_transition(transitions[(i, j)], renaming[i], renaming[j])
+            images = {y: moved.images[y] for y in layout_order[pair[1]]}
+            transitions[pair] = TransitionMap(moved.source, moved.target, images)
+            disagreements[pair] = ""
     atlas = Atlas(
         [cell.chart for cell in cells], {pair: transitions[pair] for pair in pairs}, symmetries
     )

@@ -60,7 +60,7 @@ def suite_pi_projective(n: int) -> VerificationReport:
     cocycle = check_cocycle(atlas)
     report.merge(cocycle, prefix="cocycle/")
 
-    ber = check_berezinian_trivial(atlas, cocycle)
+    ber = check_berezinian_trivial(atlas)
     report.merge(ber, prefix="berezinian/")
     verdict = ber.find("verdict")
     report.add_bool(
@@ -115,7 +115,7 @@ def suite_projective_superspace(n: int, m: int) -> VerificationReport:
         not even and not odd,
         "odd transitions are not purely linear",
     )
-    verdict = check_berezinian_trivial(atlas, cocycle).find("verdict")
+    verdict = check_berezinian_trivial(atlas).find("verdict")
     report.add("berezinian/verdict", PASS, verdict.witness)
     extracted = extract_obstruction(atlas)
     report.add_bool(

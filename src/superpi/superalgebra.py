@@ -459,6 +459,10 @@ class Renaming:
     (RatFun.renamed), and an odd monomial is re-sorted in target's order
     with the sign of the sort.  No product, gcd or Pullback runs.  The
     attribute names keeps the mapping.
+
+    sign is the sign of the even reordering times that of the odd one: the
+    Berezinian of the renaming's Jacobian, a permutation matrix in each
+    parity block, det(P_even) / det(P_odd).
     """
 
     def __init__(self, source: Chart, target: Chart, names: Mapping[str, str]):
@@ -490,11 +494,21 @@ class Renaming:
         components: dict[OddMonomial, RatFun] = {}
         for mon, coeff in f.components.items():
             positions = [self._odd_positions[x] for x in mon]
-            inversions = sum(a > b for i, a in enumerate(positions) for b in positions[i + 1 :])
             coeff = coeff.renamed(target.even_coords, self._order)
             mon = tuple(target.odd_coords[k] for k in sorted(positions))
-            components[mon] = -coeff if inversions % 2 else coeff
+            components[mon] = coeff if _sort_sign(positions) > 0 else -coeff
         return SuperFunction._raw(target, components)
+
+    @property
+    def sign(self) -> int:
+        odd = [self._odd_positions[x] for x in self.source.odd_coords]
+        return _sort_sign(self._order) * _sort_sign(odd)
+
+
+def _sort_sign(positions: Sequence[int]) -> int:
+    """The sign of the permutation that sorts distinct positions."""
+    inversions = sum(a > b for i, a in enumerate(positions) for b in positions[i + 1 :])
+    return -1 if inversions % 2 else 1
 
 
 def substitute(

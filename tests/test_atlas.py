@@ -1,6 +1,7 @@
 """Transitions, cocycle verification, super Jacobians, atlas classification."""
 
 import random
+from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
 
@@ -29,6 +30,7 @@ from superpi.builders import (
     pi_grassmannian_cells,
 )
 from superpi.report import FAIL, PASS
+from superpi.suites import suite_pi_projective
 from superpi.superalgebra import (
     Chart,
     Pullback,
@@ -276,8 +278,9 @@ class TestCocyclePruning:
 class TestCocycleSharing:
     """check_cocycle builds one Pullback per first leg and composes through it.
 
-    A passing atlas composes only its primary checks: one round trip per
-    unordered pair and the increasing ordering of each triple through U0.
+    A passing atlas without symmetries composes only its primary checks:
+    one round trip per unordered pair and the increasing ordering of each
+    triple through U0.
     """
 
     @staticmethod
@@ -303,7 +306,8 @@ class TestCocycleSharing:
 
     @pytest.mark.parametrize("n, pullbacks, compositions", [(2, 3, 4), (4, 10, 16)])
     def test_one_pullback_per_first_leg(self, monkeypatch, n, pullbacks, compositions):
-        atlas = build_pi_projective_closed(n)
+        closed = build_pi_projective_closed(n)
+        atlas = Atlas(closed.charts, closed.transitions)
         counts = self.count_calls(monkeypatch)
         report = check_cocycle(atlas)
         assert counts == {"Pullback": pullbacks, "compose": compositions}
@@ -327,8 +331,15 @@ def pi_grassmannian_24():
     return build_pi_grassmannian(2, 4)
 
 
+# The scales the closed-form P^n_Pi is checked at: standard, split, and others.
+SCALES = [
+    pytest.param(scale, id=name)
+    for scale, name in ((1, "1"), (0, "0"), (2, "2"), (Fraction(1, 2), "half"), (-3, "-3"))
+]
+
+
 class TestSymmetricCocycle:
-    """check_cocycle composes one check per orbit of a cell-built atlas's symmetries."""
+    """check_cocycle composes one check per orbit of an atlas's verified symmetries."""
 
     @pytest.mark.parametrize(
         "build, compositions",
@@ -350,8 +361,38 @@ class TestSymmetricCocycle:
         assert report.all_passed
         assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
 
-    def test_hand_built_atlases_carry_no_symmetry(self):
-        assert build_pi_projective_closed(3).symmetries == ()
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_closed_pi_projective_composes_one_check_per_orbit(self, monkeypatch, n, scale):
+        # S_{n+1} is transitive on ordered pairs and on triples of charts.
+        atlas = build_pi_projective_closed(n, scale)
+        assert check_equivariant(atlas, atlas.symmetries) == ""
+        counts = TestCocycleSharing.count_calls(monkeypatch)
+        report = check_cocycle(atlas)
+        assert counts["compose"] == (1 if n == 1 else 2)
+        assert report.all_passed
+        assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
+
+    def test_flipped_odd_image_on_closed_form_composes_every_check(self, monkeypatch):
+        atlas = flip_odd_image(build_pi_projective_closed(3), ("U1", "U2"))
+        assert check_equivariant(atlas, atlas.symmetries).startswith("symmetry ")
+        counts = TestCocycleSharing.count_calls(monkeypatch)
+        report = check_cocycle(atlas)
+        assert counts["compose"] == len(report.checks) == 36
+        assert not report.all_passed
+        assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
+
+    def test_one_equivariance_check_per_suite(self, monkeypatch):
+        calls = []
+        real = atlas_module.check_equivariant
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(atlas_module, "check_equivariant", counted)
+        assert suite_pi_projective(3).all_passed
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("pair", [("U1", "U2"), ("U1", "U6")])
     def test_single_transition_fault_breaks_a_symmetry(self, monkeypatch, pi_grassmannian_24, pair):
@@ -547,20 +588,16 @@ class TestSuperJacobian:
             assert direct.equals(chained)
 
 
-def berezinian_report(atlas):
-    return check_berezinian_trivial(atlas, check_cocycle(atlas))
-
-
 class TestBerezinianTriviality:
     def test_pi_spaces_exactly_one(self):
         for n in (1, 2):
-            report = berezinian_report(build_pi_projective_closed(n))
+            report = check_berezinian_trivial(build_pi_projective_closed(n))
             assert report.find("verdict").witness == "trivial (exact)"
             for i, j in (("U0", "U1"), ("U1", "U0")):
                 assert report.find(f"pair/{i}->{j}").witness == "Ber = 1"
 
     def test_superline_is_nonconstant(self):
-        report = berezinian_report(build_projective_superspace(1, 1))
+        report = check_berezinian_trivial(build_projective_superspace(1, 1))
         assert report.find("verdict").witness == "undetermined"
         atlas = build_projective_superspace(1, 1)
         ber = berezinian(super_jacobian(atlas.transition("U0", "U1")))
@@ -569,13 +606,17 @@ class TestBerezinianTriviality:
 
     def test_constant_cocycle_families(self):
         for n, m in ((1, 2), (2, 3)):
-            report = berezinian_report(build_projective_superspace(n, m))
+            report = check_berezinian_trivial(build_projective_superspace(n, m))
             assert report.find("verdict").witness == "trivial (constant cocycle)"
             assert report.find("pair/U0->U1").witness == "Ber = -1"
 
 
 class TestBerezinianChainRule:
-    """check_berezinian_trivial reports what computing every Berezinian reports."""
+    """check_berezinian_trivial reports what computing every Berezinian reports.
+
+    With verified symmetries it computes one Berezinian per orbit of ordered
+    pairs and renames it, with the renamings' signs, onto the rest.
+    """
 
     @pytest.mark.parametrize(
         "build",
@@ -586,37 +627,43 @@ class TestBerezinianChainRule:
                 for n, m in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 4))
             ),
             partial(build_super_grassmannian, 1, 1, 2, 2),
+            partial(build_projective_superspace, 3, 2),
+            partial(build_super_grassmannian, 2, 1, 4, 2),
+            partial(build_pi_grassmannian, 2, 4),
         ],
     )
     def test_matches_every_pair_computed(self, build):
         atlas = build()
-        assert verdicts(berezinian_report(atlas)) == verdicts(exhaustive_berezinian(atlas))
+        assert atlas.verified_renamings()
+        report = check_berezinian_trivial(atlas)
+        assert verdicts(report) == verdicts(exhaustive_berezinian(atlas))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_closed_form_matches_every_pair_computed(self, n, scale):
+        atlas = build_pi_projective_closed(n, scale)
+        assert atlas.verified_renamings()
+        report = check_berezinian_trivial(atlas)
+        assert verdicts(report) == verdicts(exhaustive_berezinian(atlas))
 
     def test_failing_cocycle_computes_every_pair(self):
+        # The flip breaks equivariance, so no Berezinian is renamed.
         atlas = flip_odd_image(build_pi_projective_closed(2), ("U1", "U2"))
-        cocycle = check_cocycle(atlas)
-        assert not cocycle.all_passed
-        report = check_berezinian_trivial(atlas, cocycle)
+        assert not check_cocycle(atlas).all_passed
+        assert atlas.verified_renamings() == []
+        report = check_berezinian_trivial(atlas)
         assert verdicts(report) == verdicts(exhaustive_berezinian(atlas))
         assert report.find("pair/U1->U2").witness == "Ber = -1"
-
-    def test_foreign_report_computes_every_pair(self):
-        atlas = flip_odd_image(build_pi_projective_closed(2), ("U1", "U2"))
-        foreign = check_cocycle(build_pi_projective_closed(3))
-        assert foreign.all_passed
-        report = check_berezinian_trivial(atlas, foreign)
-        assert verdicts(report) == verdicts(exhaustive_berezinian(atlas))
 
     @pytest.mark.parametrize(
         "build, computed",
         [
-            (partial(build_pi_projective_closed, 4), 4),
-            (partial(build_projective_superspace, 1, 1), 2),
+            (partial(build_pi_projective_closed, 4), 1),
+            (partial(build_projective_superspace, 1, 1), 1),
         ],
     )
     def test_berezinians_computed(self, monkeypatch, build, computed):
         atlas = build()
-        cocycle = check_cocycle(atlas)
         calls = []
 
         def counted(matrix):
@@ -624,8 +671,43 @@ class TestBerezinianChainRule:
             return berezinian(matrix)
 
         monkeypatch.setattr(atlas_module, "berezinian", counted)
-        check_berezinian_trivial(atlas, cocycle)
+        check_berezinian_trivial(atlas)
         assert len(calls) == computed
+
+
+class TestRenamingSign:
+    """Renaming.sign is the Berezinian of the renaming's Jacobian."""
+
+    @pytest.mark.parametrize(
+        "build, signs",
+        [
+            (partial(build_projective_superspace, 2, 3), {1, -1}),
+            (partial(build_projective_superspace, 3, 2), {1, -1}),
+            (partial(build_super_grassmannian, 2, 1, 4, 2), {1, -1}),
+            # Pi-symmetric charts pair each even coordinate with an odd one.
+            (partial(build_pi_grassmannian, 2, 4), {1}),
+            (partial(build_pi_projective_closed, 3), {1}),
+        ],
+        ids=["p-2-3", "p-3-2", "grassmannian-2-1-4-2", "pi-grassmannian-2-4", "closed-pi-3"],
+    )
+    def test_sign_is_the_berezinian_of_the_renaming(self, build, signs):
+        atlas = build()
+        seen = set()
+        for symmetry in atlas.symmetries:
+            for i, (image, names) in symmetry.items():
+                renaming = Renaming(atlas.chart(i), atlas.chart(image), names)
+                forward, _ = renaming_maps(atlas, symmetry, i)
+                assert berezinian(super_jacobian(forward)).is_constant() == renaming.sign
+                seen.add(renaming.sign)
+        assert seen == signs
+
+    def test_unsigned_rule_misreads_p23(self, monkeypatch):
+        atlas = build_projective_superspace(2, 3)
+        assert exhaustive_berezinian(atlas).find("pair/U0->U2").witness == "Ber = 1"
+        monkeypatch.setattr(Renaming, "sign", 1)
+        report = check_berezinian_trivial(atlas)
+        assert report.find("pair/U0->U2").witness == "Ber = -1"
+        assert verdicts(report) != verdicts(exhaustive_berezinian(atlas))
 
 
 class TestClassification:
