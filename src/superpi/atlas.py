@@ -33,9 +33,12 @@ from .supermatrix import SuperMatrix, berezinian
 # image chart and to the renaming of its coordinates onto that chart's.
 Symmetry = dict[str, tuple[str, dict[str, str]]]
 
-# A step of an orbit walk (pair_orbits): the pair reached, the pair it is
-# reached from, and the renamings of the generator that carries one to the other.
-OrbitStep = tuple[tuple[str, str], tuple[str, str], Mapping[str, Renaming]]
+# A point of an orbit walk (orbits): a tuple or a frozenset of chart names.
+Point = tuple[str, ...] | frozenset[str]
+
+# A step of an orbit walk: the point reached, the point it is reached from,
+# and the renamings of the generator that carries one to the other.
+OrbitStep = tuple[Point, Point, Mapping[str, Renaming]]
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,8 @@ class Atlas:
         if self._verified is None:
             moving = [s for s in self.symmetries if any(i != image for i, (image, _) in s.items())]
             accepted = bool(moving) and not check_equivariant(self, moving)
-            self._verified = [_renamings(self, s) for s in moving] if accepted else []
+            charts = {c.name: c for c in self.charts}
+            self._verified = [symmetry_renamings(charts, s) for s in moving] if accepted else []
         return self._verified
 
 
@@ -214,11 +218,12 @@ def check_equivariant(atlas: Atlas, symmetries: Sequence[Symmetry]) -> str:
     with the difference renamed image - stored image.
     """
     names = sorted(atlas.chart_names())
+    charts = {c.name: c for c in atlas.charts}
     for number, symmetry in enumerate(symmetries):
         if sorted(symmetry) != names or sorted(image for image, _ in symmetry.values()) != names:
             return f"symmetry {number} does not permute the charts"
         try:
-            renamings = _renamings(atlas, symmetry)
+            renamings = symmetry_renamings(charts, symmetry)
         except ValueError as error:
             return f"symmetry {number}: {error}"
         for i, j in atlas.pairs():
@@ -233,46 +238,47 @@ def check_equivariant(atlas: Atlas, symmetries: Sequence[Symmetry]) -> str:
     return ""
 
 
-def _renamings(atlas: Atlas, symmetry: Symmetry) -> dict[str, Renaming]:
-    """The Renaming of each chart by symmetry onto its image chart, by name;
-    ValueError when one is not a parity-preserving bijection."""
+def symmetry_renamings(charts: Mapping[str, Chart], symmetry: Symmetry) -> dict[str, Renaming]:
+    """The Renaming of each chart by symmetry onto its image chart, by name,
+    with charts looked up by name; ValueError when one is not a
+    parity-preserving bijection."""
     return {
-        i: Renaming(atlas.chart(i), atlas.chart(image), coords)
-        for i, (image, coords) in symmetry.items()
+        i: Renaming(charts[i], charts[image], coords) for i, (image, coords) in symmetry.items()
     }
 
 
-def pair_orbits(
-    pairs: Sequence[tuple[str, str]], renamings: Sequence[Mapping[str, Renaming]]
-) -> list[tuple[tuple[str, str], list[OrbitStep]]]:
-    """The orbits of the ordered chart pairs under the group the generators
-    in renamings generate, each as (seed, steps).
+def orbits(
+    points: Sequence[Point], renamings: Sequence[Mapping[str, Renaming]]
+) -> list[tuple[Point, list[OrbitStep]]]:
+    """The orbits of points under the group the generators in renamings
+    generate, each as (seed, steps).
 
     Each generator maps every chart name to the Renaming of that chart onto
-    its image.  The seed is the orbit's first pair in pairs order, and each
-    step (pair, parent, renaming) reaches a new pair of the orbit from the
-    seed or an earlier step: pair is (renaming[i].target.name,
-    renaming[j].target.name) for parent (i, j).  Without generators every
-    pair is an orbit of its own.
+    its image, and carries a point to the point of the same type that holds
+    the images of its names: (i, j) to (renaming[i].target.name,
+    renaming[j].target.name).  The seed is the orbit's first point in points
+    order, and each step (point, parent, renaming) reaches a new point of
+    the orbit from the seed or an earlier step.  Without generators every
+    point is an orbit of its own.
     """
-    seen: set[tuple[str, str]] = set()
-    orbits = []
-    for seed in pairs:
+    seen: set[Point] = set()
+    found = []
+    for seed in points:
         if seed in seen:
             continue
         seen.add(seed)
         steps: list[OrbitStep] = []
         walk = [seed]
         while walk:
-            i, j = parent = walk.pop()
+            parent = walk.pop()
             for renaming in renamings:
-                pair = (renaming[i].target.name, renaming[j].target.name)
-                if pair not in seen:
-                    seen.add(pair)
-                    walk.append(pair)
-                    steps.append((pair, parent, renaming))
-        orbits.append((seed, steps))
-    return orbits
+                point = type(parent)(renaming[c].target.name for c in parent)
+                if point not in seen:
+                    seen.add(point)
+                    walk.append(point)
+                    steps.append((point, parent, renaming))
+        found.append((seed, steps))
+    return found
 
 
 def check_cocycle(atlas: Atlas) -> VerificationReport:
@@ -283,20 +289,16 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
     charts, the increasing and decreasing ones otherwise.  The report
     lists the checks in that order.
 
-    When every chart has the same dimension (n|m), only some checks are
-    composed at first, and when they all pass every other check passes by
-    the lemma below; its witness is "", which is what composing it would
-    print.  If the atlas carries symmetries that move a chart and
-    check_equivariant accepts them (Atlas.verified_renamings), the checks
-    composed are the first check, in report order, of each orbit of chart
-    pairs and of chart triples under the group they generate (part 5).
-    Otherwise, or when one of those fails, they are the primary checks:
-    the round trip i->j->i for the first ordering of each unordered pair,
-    and the increasing ordering (0, j, k) of each triple through the first
-    chart U0 (part 4).  When a primary check fails or dimensions differ, every
-    other check is composed too.  Each check is composed at most once, so
-    a failing atlas gets the same report and witnesses as when every check
-    is composed.
+    When every chart has the same dimension (n|m) and the atlas carries
+    symmetries that move a chart and check_equivariant accepts them
+    (Atlas.verified_renamings), only the first check, in report order, of
+    each orbit of chart pairs and of chart triples under the group they
+    generate is composed at first (orbits).  When those all pass, every
+    other check passes by the lemma below (part 4); its witness is "",
+    which is what composing it would print.  Otherwise, or when one of
+    those fails, every other check is composed too.  Each check is
+    composed at most once, so a failing atlas gets the same report and
+    witnesses as when every check is composed.
 
     Lemma.  Write Phi_ij: A_j -> A_i for the pullback of T_ij, where
     A = Q(x) (x) Lambda[theta].  A check passes when its two sides agree
@@ -321,12 +323,7 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
       3. Equal dimensions are needed.  For charts A = (a|) and B = (b, c|)
          with T_AB: b, c -> a and T_BA: a -> b, A->B->A passes while
          B->A->B fails with "coordinate c: difference (b - c)".
-      4. The triples through U0 give every triple.  The triple (0, i, j)
-         says Phi_0i Phi_ij = Phi_0j, so Phi_ij = Phi_0i^-1 Phi_0j for
-         i < j, and for i > j by inverting Phi_ji; it holds with i or j
-         equal to 0 too.  Hence Phi_ij Phi_jk = Phi_0i^-1 Phi_0k = Phi_ik
-         for every triple, and part 2 gives its other orderings.
-      5. A symmetry carries every check along its orbit.  A symmetry s
+      4. A symmetry carries every check along its orbit.  A symmetry s
          gives ring isomorphisms R_i: A_i -> A_s(i), and check_equivariant
          says Phi_s(i)s(j) R_j = R_i Phi_ij on the coordinates of j, hence
          Phi_s(i)s(j) = R_i Phi_ij R_j^-1.  For a product s t, t applied
@@ -342,31 +339,21 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
          part 2.
     """
     names = atlas.chart_names()
-    position = {name: index for index, name in enumerate(names)}
-    # (identifier, first leg, second leg, expected transition or None, primary)
-    checks = [
-        (f"roundtrip/{i}->{j}->{i}", (i, j), (j, i), None, position[i] < position[j])
-        for i, j in atlas.pairs()
-    ]
+    # (identifier, first leg, second leg, expected transition or None)
+    checks = [(f"roundtrip/{i}->{j}->{i}", (i, j), (j, i), None) for i, j in atlas.pairs()]
     for combo in combinations(names, 3):
         orderings = (
             list(permutations(combo))
             if len(names) <= 4
             else [combo, tuple(reversed(combo))]
         )
-        checks += [
-            (f"triple/{i},{j},{k}", (i, j), (j, k), (i, k), (i, j, k) == combo and i == names[0])
-            for i, j, k in orderings
-        ]
+        checks += [(f"triple/{i},{j},{k}", (i, j), (j, k), (i, k)) for i, j, k in orderings]
     equal = len({(len(c.even_coords), len(c.odd_coords)) for c in atlas.charts}) == 1
     representatives = _orbit_representatives(atlas, checks) if equal else None
     witnesses = {} if representatives is None else _compose_checks(atlas, representatives)
     if representatives is None or any(witnesses.values()):
-        primaries = [check for check in checks if check[4] and check[0] not in witnesses]
-        witnesses.update(_compose_checks(atlas, primaries))
-        if not equal or any(witnesses.values()):
-            rest = [check for check in checks if check[0] not in witnesses]
-            witnesses.update(_compose_checks(atlas, rest))
+        rest = [check for check in checks if check[0] not in witnesses]
+        witnesses.update(_compose_checks(atlas, rest))
     report = VerificationReport("cocycle")
     for identifier, *_ in checks:
         report.add_witness(identifier, witnesses.get(identifier, ""))
@@ -375,28 +362,16 @@ def check_cocycle(atlas: Atlas) -> VerificationReport:
 
 def _orbit_representatives(atlas: Atlas, checks: list[tuple]) -> list[tuple] | None:
     """The first check of each orbit of chart sets under the atlas's
-    verified symmetries (Atlas.verified_renamings); None when it has none.
+    verified symmetries (Atlas.verified_renamings), in check order; None
+    when it has none.
     """
     renamings = atlas.verified_renamings()
     if not renamings:
         return None
-    seen: set[frozenset[str]] = set()
-    firsts = []
+    first: dict[frozenset[str], tuple] = {}
     for check in checks:
-        charts = frozenset(check[1] + check[2])
-        if charts in seen:
-            continue
-        firsts.append(check)
-        seen.add(charts)
-        orbit = [charts]
-        while orbit:
-            charts = orbit.pop()
-            for renaming in renamings:
-                image = frozenset(renaming[i].target.name for i in charts)
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-    return firsts
+        first.setdefault(frozenset(check[1] + check[2]), check)
+    return [first[seed] for seed, _ in orbits(list(first), renamings)]
 
 
 def _compose_checks(atlas: Atlas, checks: list[tuple]) -> dict[str, str]:
@@ -414,7 +389,7 @@ def _compose_checks(atlas: Atlas, checks: list[tuple]) -> dict[str, str]:
     for first, group in by_first.items():
         t1 = atlas.transition(*first)
         pull_back = Pullback(t1.target, t1.images)
-        for identifier, _, second, expected, _ in group:
+        for identifier, _, second, expected in group:
             threaded = compose(atlas.transition(*second), t1, pull_back)
             # Round trips report threaded - identity, triples direct - threaded.
             witnesses[identifier] = (
@@ -457,7 +432,7 @@ def check_berezinian_trivial(atlas: Atlas) -> VerificationReport:
 
     When the atlas's symmetries are verified (Atlas.verified_renamings),
     Ber is computed on the first pair of each orbit of ordered pairs
-    (pair_orbits), and each other pair of the orbit, reached from (i, j)
+    (orbits), and each other pair of the orbit, reached from (i, j)
     by a generator s with renamings R, gets
 
         Ber(T_s(i)s(j)) = sign(R_i) * sign(R_j) * R_i(Ber(T_ij)).
@@ -486,7 +461,7 @@ def check_berezinian_trivial(atlas: Atlas) -> VerificationReport:
     Berezinian 1.
     """
     values: dict[tuple[str, str], SuperFunction] = {}
-    for seed, steps in pair_orbits(atlas.pairs(), atlas.verified_renamings()):
+    for seed, steps in orbits(atlas.pairs(), atlas.verified_renamings()):
         values[seed] = berezinian(super_jacobian(atlas.transition(*seed)))
         for pair, (i, j), renaming in steps:
             renamed = renaming[i](values[(i, j)])

@@ -28,9 +28,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .atlas import Atlas, Symmetry, TransitionMap, pair_orbits, rename_transition
+from .atlas import Atlas, Symmetry, TransitionMap, orbits, rename_transition, symmetry_renamings
 from .rational import exact, gauss_jordan
-from .superalgebra import Chart, Renaming, SuperFunction
+from .superalgebra import Chart, SuperFunction
 from .supermatrix import EVEN_FUNCTIONS, SuperMatrix, grid_mul
 
 
@@ -462,7 +462,7 @@ def _atlas_from_cells(
     (_column_symmetry).  The first pair of each orbit under that group, in
     pair order, is derived (_read_off).  When its read-off agrees, every
     other pair of the orbit is that transition renamed along the walk of
-    atlas.pair_orbits (atlas.rename_transition), keyed in the order of its
+    atlas.orbits (atlas.rename_transition), keyed in the order of its
     target cell's layout as the read-off keys it.  Otherwise every pair of
     the orbit is derived, so a faulty derivation gets the transitions and
     witnesses that deriving every pair gives.
@@ -487,13 +487,8 @@ def _atlas_from_cells(
     """
     by_name = {cell.chart.name: cell for cell in cells}
     symmetries = [_column_symmetry(cells, sigma) for sigma in columns]
-    renamings = [
-        {
-            i: Renaming(by_name[i].chart, by_name[image].chart, coords)
-            for i, (image, coords) in symmetry.items()
-        }
-        for symmetry in symmetries
-    ]
+    charts = {name: cell.chart for name, cell in by_name.items()}
+    renamings = [symmetry_renamings(charts, symmetry) for symmetry in symmetries]
     layout_order = {
         name: tuple(dict.fromkeys(coord for coord, _ in cell.layout.values()))
         for name, cell in by_name.items()
@@ -501,13 +496,13 @@ def _atlas_from_cells(
     pairs = [(i, j) for i in by_name for j in by_name if i != j]
     transitions: dict[tuple[str, str], TransitionMap] = {}
     disagreements: dict[tuple[str, str], str] = {}
-    orbits = pair_orbits(pairs, renamings)
-    seeds = {pair: seed for seed, steps in orbits for pair, _, _ in steps}
+    pair_orbits = orbits(pairs, renamings)
+    seeds = {pair: seed for seed, steps in pair_orbits for pair, _, _ in steps}
     # The seeds, and the pairs of an orbit whose seed disagrees, in pair order.
     for pair in pairs:
         if pair not in seeds or disagreements[seeds[pair]]:
             transitions[pair], disagreements[pair] = _read_off(by_name[pair[0]], by_name[pair[1]])
-    for seed, steps in orbits:
+    for seed, steps in pair_orbits:
         if disagreements[seed]:
             continue
         for pair, (i, j), renaming in steps:

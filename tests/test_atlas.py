@@ -248,7 +248,7 @@ class TestCocyclePruning:
 
     @pytest.mark.parametrize("pair", list(permutations(("U0", "U1", "U2", "U3"), 2)))
     def test_every_single_transition_fault_on_four_charts(self, pair):
-        # A fault among U1, U2, U3 lies on no primary triple; the fallback composes its triples.
+        # Every flip breaks a symmetry of P^3_Pi, so every check is composed.
         atlas = flip_odd_image(build_pi_projective_closed(3), pair)
         report = check_cocycle(atlas)
         assert not report.all_passed
@@ -256,7 +256,7 @@ class TestCocyclePruning:
 
     @pytest.mark.parametrize("pair", list(combinations(("U0", "U1", "U2", "U3"), 2)))
     def test_faults_that_only_triples_see(self, pair):
-        # Every round trip passes, so only a composed triple through U0 can fail.
+        # Every round trip passes, so only the composed triples can fail.
         atlas = regauge_pair(build_pi_projective_closed(3), pair)
         report = check_cocycle(atlas)
         assert all(
@@ -278,9 +278,9 @@ class TestCocyclePruning:
 class TestCocycleSharing:
     """check_cocycle builds one Pullback per first leg and composes through it.
 
-    A passing atlas without symmetries composes only its primary checks:
-    one round trip per unordered pair and the increasing ordering of each
-    triple through U0.
+    An atlas without symmetries composes every check once: P^2_Pi has 6
+    round trips and 6 triple orderings over 6 first legs, P^4_Pi 20 round
+    trips and 20 triple orderings over 20 first legs.
     """
 
     @staticmethod
@@ -304,7 +304,7 @@ class TestCocycleSharing:
             ids += [f"triple/{i},{j},{k}" for i, j, k in orderings]
         return ids
 
-    @pytest.mark.parametrize("n, pullbacks, compositions", [(2, 3, 4), (4, 10, 16)])
+    @pytest.mark.parametrize("n, pullbacks, compositions", [(2, 6, 12), (4, 20, 40)])
     def test_one_pullback_per_first_leg(self, monkeypatch, n, pullbacks, compositions):
         closed = build_pi_projective_closed(n)
         atlas = Atlas(closed.charts, closed.transitions)
@@ -341,6 +341,9 @@ SCALES = [
 class TestSymmetricCocycle:
     """check_cocycle composes one check per orbit of an atlas's verified symmetries."""
 
+    # Every atlas a suite of the desk battery checks the cocycle of, and
+    # G_Pi(1, 4).  An atlas without verified symmetries composes every check,
+    # so a builder that stops supplying them fails here.
     @pytest.mark.parametrize(
         "build, compositions",
         [
@@ -348,13 +351,19 @@ class TestSymmetricCocycle:
             pytest.param(partial(build_super_grassmannian, 2, 0, 4, 0), 5, id="grassmannian-2-0-4-0"),
             pytest.param(partial(build_super_grassmannian, 1, 1, 2, 2), 4, id="grassmannian-1-1-2-2"),
             pytest.param(partial(build_projective_superspace, 2, 3), 2, id="p-2-3"),
+            pytest.param(partial(build_projective_superspace, 1, 1), 1, id="p-1-1"),
             pytest.param(partial(build_pi_grassmannian, 1, 4), 2, id="pi-grassmannian-1-4"),
+            *(
+                pytest.param(
+                    partial(build_pi_projective_closed, n), 1 if n == 1 else 2, id=f"pi-projective-{n}"
+                )
+                for n in range(1, 6)
+            ),
         ],
     )
     def test_orbit_representatives_match_every_check(self, monkeypatch, build, compositions):
         atlas = build()
-        assert atlas.symmetries
-        assert check_equivariant(atlas, atlas.symmetries) == ""
+        assert atlas.verified_renamings()
         counts = TestCocycleSharing.count_calls(monkeypatch)
         report = check_cocycle(atlas)
         assert counts["compose"] == compositions
@@ -440,7 +449,7 @@ class TestSymmetricCocycle:
         ],
         ids=["charts", "coordinates"],
     )
-    def test_spoilt_renaming_takes_the_primary_rule(
+    def test_spoilt_renaming_composes_every_check(
         self, monkeypatch, pi_grassmannian_24, spoil, witness
     ):
         first, *rest = pi_grassmannian_24.symmetries
@@ -450,7 +459,8 @@ class TestSymmetricCocycle:
         assert check_equivariant(atlas, atlas.symmetries) == witness
         counts = TestCocycleSharing.count_calls(monkeypatch)
         report = check_cocycle(atlas)
-        assert counts["compose"] == 25
+        assert counts["compose"] == len(report.checks) == 70
+        assert verdicts(report) == verdicts(exhaustive_cocycle(atlas))
         assert verdicts(report) == verdicts(check_cocycle(pi_grassmannian_24))
 
 
